@@ -13,9 +13,9 @@ constants, and reports named failures with witness words.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .carpet import CarpetSpec, derive_indices
 from .constants import SpectralConstants
@@ -32,13 +32,14 @@ from .words import (
     ROOT,
     Word,
     all_words,
-    children,
-    ell,
+    ell_steps,
     encode_word,
+    energy,
     flatten,
-    log_tables,
+    log_energy,
     log_weight,
     order,
+    step_table,
     validate_word,
 )
 
@@ -147,23 +148,6 @@ class L1L2Result:
         return len(self.l2)
 
 
-@lru_cache(maxsize=None)
-def _step_tables(spec: CarpetSpec, r: float):
-    """Per-child log weight increments for the two refinement forms."""
-    log_p, log_q = log_tables(spec)
-    idx = derive_indices(spec)
-    shift = -r * math.log(spec.m)
-    flat = tuple((j, log_q[j] + shift) for j in idx.g_y)
-    upgrade = {
-        j_head: tuple(
-            (i, log_p[(i, j_head)] - log_q[j_head])
-            for i in idx.columns_of(j_head)
-        )
-        for j_head in idx.g_y
-    }
-    return flat, upgrade
-
-
 def build_upsilon(
     spec: CarpetSpec,
     consts: SpectralConstants,
@@ -180,11 +164,12 @@ def build_upsilon(
     if j < 0:
         raise ValueError(f"threshold level must be >= 0, got {j}")
     threshold = j * math.log(consts.eta_lo)
-    flat, upgrade = _step_tables(spec, consts.r)
+    rows, upgrades = step_table(spec)
+    shift = -consts.r * math.log(spec.m)
+    flat = tuple((jj, lq + shift) for jj, lq in rows)
     out_words: list[Word] = []
     out_logw: list[float] = []
     stack: list[tuple[tuple, tuple, float]] = [(ROOT.a, ROOT.b, 0.0)]
-    lk_flat_cache = _ell_flat_flags(spec)
     while stack:
         a, b, lw = stack.pop()
         if lw < threshold:
@@ -193,28 +178,20 @@ def build_upsilon(
             if len(out_words) > cap:
                 raise CapExceeded(cap, len(out_words), "weight-threshold antichain")
             continue
-        k = len(a) + len(b)
-        if lk_flat_cache(k):
-            for jj, step in flat:
-                stack.append((a, b + (jj,), lw + step))
-        else:
+        if ell_steps(spec, len(a) + len(b)):
             j_head = b[0]
             tail = b[1:]
-            for i, up_step in upgrade[j_head]:
+            for i, up in upgrades[j_head]:
                 a2 = a + ((i, j_head),)
                 for jj, step in flat:
-                    stack.append((a2, tail + (jj,), lw + up_step + step))
+                    stack.append((a2, tail + (jj,), lw + up + step))
+        else:
+            for jj, step in flat:
+                stack.append((a, b + (jj,), lw + step))
     paired = sorted(zip(out_words, out_logw), key=lambda t: (order(t[0]), t[0].a, t[0].b))
     words = tuple(w for w, _ in paired)
     logw = tuple(lw for _, lw in paired)
     return Antichain(j=j, r=consts.r, kind="weight-threshold", words=words, log_weights=logw)
-
-
-def _ell_flat_flags(spec: CarpetSpec):
-    def is_flat(k: int) -> bool:
-        return ell(spec, k + 1) == ell(spec, k)
-
-    return is_flat
 
 
 def slices(antichain: Antichain) -> OrderSlices:
@@ -243,24 +220,27 @@ def s2_family(
     to at most H3 times sigma's.
     """
     t = consts.t_r
-    base = t * log_weight(spec, consts.r, sigma)
+    base = log_energy(spec, consts, sigma)
     cut = base - math.log(consts.H2)
     out: list[Word] = []
     stack: list[tuple[Word, float]] = [(sigma, base)]
     shift = -consts.r * math.log(spec.m)
-    log_p, log_q = log_tables(spec)
+    rows, upgrades = step_table(spec)
     while stack:
         w, le = stack.pop()
         if le < cut:
             continue
         out.append(w)
-        for c in children(spec, w):
-            if len(c.a) > len(w.a):
-                i, j_head = c.a[-1]
-                step = (log_p[(i, j_head)] - log_q[j_head]) + log_q[c.b[-1]] + shift
-            else:
-                step = log_q[c.b[-1]] + shift
-            stack.append((c, le + t * step))
+        if ell_steps(spec, order(w)):
+            j_head = w.b[0]
+            tail = w.b[1:]
+            for i, up in upgrades[j_head]:
+                a = w.a + ((i, j_head),)
+                for jj, lq in rows:
+                    stack.append((Word(a, tail + (jj,)), le + t * ((up + lq) + shift)))
+        else:
+            for jj, lq in rows:
+                stack.append((Word(w.a, w.b + (jj,)), le + t * (lq + shift)))
     out.sort(key=lambda w: (order(w), w.a, w.b))
     return out
 
@@ -291,7 +271,7 @@ def build_gamma_tau(
     log_eps = j * consts.t_r * log_eta - consts.t_r * lw_tau
     pairs: list[CylinderPair] = []
     logs: list[float] = []
-    idx = derive_indices(spec)
+    rows = step_table(spec).rows
     cells = tuple((i, jj) for i, jj, _ in spec.entries)
     stack: list[tuple[CylinderPair, float]] = [(EMPTY_PAIR, 0.0)]
     while stack:
@@ -302,18 +282,24 @@ def build_gamma_tau(
             if len(pairs) > cap:
                 raise CapExceeded(cap, len(pairs), "per-anchor threshold family")
             continue
-        d = len(c.sigma) + len(c.omega)
-        if ell(spec, k1 + d + 1) == ell(spec, k1 + d) + 1:
+        if ell_steps(spec, k1 + len(c.sigma) + len(c.omega)):
             for cell in cells:
                 stack.append(
                     (CylinderPair(c.sigma + (cell,), c.omega), lw + pw.log_p_tilde[cell])
                 )
         else:
-            for jj in idx.g_y:
+            for jj, _ in rows:
                 stack.append(
                     (CylinderPair(c.sigma, c.omega + (jj,)), lw + pw.log_q_tilde[jj])
                 )
     return GammaFamily(tau=tau, log_epsilon=log_eps, pairs=tuple(pairs), log_w=tuple(logs))
+
+
+def _ancestors(spec: CarpetSpec, w: Word, k_min: int) -> Iterator[Word]:
+    """The proper ancestors of w down to order k_min, nearest first."""
+    while order(w) > k_min:
+        w = flatten(spec, w)
+        yield w
 
 
 def glue(tau: Word, pair: CylinderPair) -> Word:
@@ -360,9 +346,7 @@ def build_l1_l2(
     core: set[Word] = set()
     for rho in l1:
         best = rho
-        w = rho
-        while order(w) > k1:
-            w = flatten(spec, w)
+        for w in _ancestors(spec, rho, k1):
             if w in member:
                 best = w
         core.add(best)
@@ -436,16 +420,43 @@ class CertificateReport:
     h7: float
 
     @property
+    def checks(self) -> tuple[CertificateCheck, ...]:
+        """Every check: level by level, then the cross-level laws."""
+        return tuple(c for jc in self.certificates for c in jc.checks) + self.cross_checks
+
+    @property
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.certificates) and all(
-            c.passed for c in self.cross_checks
-        )
+        return all(c.passed for c in self.checks)
 
     @property
     def failures(self) -> tuple[CertificateCheck, ...]:
-        bad = [c for jc in self.certificates for c in jc.checks if not c.passed]
-        bad.extend(c for c in self.cross_checks if not c.passed)
-        return tuple(bad)
+        return tuple(c for c in self.checks if not c.passed)
+
+
+_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+
+
+def _check(
+    j: int, name: str, value: float, op: str, bound: float, witness: Word | None = None
+) -> CertificateCheck:
+    """Decide value OP bound; a failed check names its witness word."""
+    ok = bool(_OPS[op](value, bound))
+    text = encode_word(witness) if witness is not None and not ok else ""
+    return CertificateCheck(
+        j=j, name=name, value=value, op=op, bound=bound, passed=ok, witness=text
+    )
+
+
+def _extremes(items: Iterable[tuple[float, Word]]) -> tuple[float, Word | None, float, Word | None]:
+    """(min, its word, max, its word) in one pass; ties keep the earliest word."""
+    lo, hi = math.inf, -math.inf
+    lo_w = hi_w = None
+    for value, w in items:
+        if value < lo:
+            lo, lo_w = value, w
+        if value > hi:
+            hi, hi_w = value, w
+    return lo, lo_w, hi, hi_w
 
 
 def _evenly_spaced(items: Sequence, count: int) -> list:
@@ -483,22 +494,7 @@ def certify(
 
     for j in j_list:
         checks: list[CertificateCheck] = []
-
-        def add(name: str, value: float, op: str, bound: float, witness: str = "") -> None:
-            if op == "<=":
-                ok = value <= bound
-            elif op == "<":
-                ok = value < bound
-            elif op == ">=":
-                ok = value >= bound
-            else:
-                raise ValueError(op)
-            checks.append(
-                CertificateCheck(
-                    j=j, name=name, value=value, op=op, bound=bound,
-                    passed=bool(ok), witness=witness if not ok else "",
-                )
-            )
+        add = checks.append
 
         ups = build_upsilon(spec, consts, j, cap=cap)
         sl = slices(ups)
@@ -506,132 +502,97 @@ def certify(
 
         # weight band: eta^(j+1) <= weight < eta^j for every member
         lo_b, hi_b = (j + 1) * log_eta, j * log_eta
-        worst_lo = min(lw - lo_b for lw in ups.log_weights)
-        worst_hi = max(lw - hi_b for lw in ups.log_weights)
-        wit_lo = ups.words[min(range(ups.psi), key=lambda i: ups.log_weights[i] - lo_b)]
-        wit_hi = ups.words[max(range(ups.psi), key=lambda i: ups.log_weights[i] - hi_b)]
-        add("weight-band-lower", worst_lo, ">=", 0.0, encode_word(wit_lo))
-        add("weight-band-upper", worst_hi, "<", 0.0, encode_word(wit_hi))
+        lws = ups.log_weights
+        worst_lo, wit_lo, _, _ = _extremes((lw - lo_b, w) for lw, w in zip(lws, ups.words))
+        _, _, worst_hi, wit_hi = _extremes((lw - hi_b, w) for lw, w in zip(lws, ups.words))
+        add(_check(j, "weight-band-lower", worst_lo, ">=", 0.0, wit_lo))
+        add(_check(j, "weight-band-upper", worst_hi, "<", 0.0, wit_hi))
 
         # the members tile the carpet: cylinder masses sum to 1
         mass = math.fsum(
-            math.exp(lw + order(w) * consts.r * log_m)
-            for w, lw in zip(ups.words, ups.log_weights)
+            math.exp(lw + order(w) * consts.r * log_m) for lw, w in zip(lws, ups.words)
         )
-        add("mass-partition", abs(mass - 1.0), "<=", MASS_TOL)
+        add(_check(j, "mass-partition", abs(mass - 1.0), "<=", MASS_TOL))
 
         # total energy and member count against the overlap constant
-        sum_energy = math.fsum(math.exp(t * lw) for lw in ups.log_weights)
-        add("energy-sum", sum_energy, "<=", consts.H1)
-        add("count-bound", ups.psi * math.exp((j + 1) * t * log_eta), "<=", consts.H1)
+        sum_energy = math.fsum(math.exp(t * lw) for lw in lws)
+        add(_check(j, "energy-sum", sum_energy, "<=", consts.H1))
+        add(_check(j, "count-bound", ups.psi * math.exp((j + 1) * t * log_eta), "<=", consts.H1))
 
         # overlap family: W-mass ratio and order gap at every anchor
         scan = s1_scan(spec, pw, ups.words, sl.k1)
-        s1_max_ratio, s1_max_gap, s1_wit = 0.0, 0, ""
-        for anchor, (w_sum, gap) in scan.items():
-            ratio = w_sum / math.exp(log_w_mass(pw, embed(anchor)))
-            if ratio > s1_max_ratio:
-                s1_max_ratio, s1_wit = ratio, encode_word(anchor)
-            s1_max_gap = max(s1_max_gap, gap)
-        add("s1-mass", s1_max_ratio, "<=", consts.H1 * (1.0 + LOG_SLACK), s1_wit)
-        add("s1-gap", float(s1_max_gap), "<=", float(consts.H1))
+        _, _, s1_max_ratio, s1_wit = _extremes(
+            (w_sum / math.exp(log_w_mass(pw, embed(anchor))), anchor)
+            for anchor, (w_sum, _) in scan.items()
+        )
+        s1_max_gap = max(gap for _, gap in scan.values())
+        add(_check(j, "s1-mass", s1_max_ratio, "<=", consts.H1 * (1.0 + LOG_SLACK), s1_wit))
+        add(_check(j, "s1-gap", float(s1_max_gap), "<=", float(consts.H1)))
 
         # embedding sandwich for members of aligned order
-        sandwich_checked = 0
-        sw_min, sw_max = math.inf, -math.inf
-        sw_wit_lo = sw_wit_hi = ""
-        for w, lw in zip(ups.words, ups.log_weights):
-            if order(w) < k_aligned:
-                continue
-            sandwich_checked += 1
-            gap_log = log_w_mass(pw, embed(w)) - t * lw
-            if gap_log < sw_min:
-                sw_min, sw_wit_lo = gap_log, encode_word(w)
-            if gap_log > sw_max:
-                sw_max, sw_wit_hi = gap_log, encode_word(w)
+        sandwich_checked = sum(order(w) >= k_aligned for w in ups.words)
         if sandwich_checked:
-            add("embed-sandwich-lower", sw_min, ">=", -LOG_SLACK, sw_wit_lo)
-            add("embed-sandwich-upper", sw_max, "<=", log_pq + LOG_SLACK, sw_wit_hi)
+            sw_min, sw_wit_lo, sw_max, sw_wit_hi = _extremes(
+                (log_w_mass(pw, embed(w)) - t * lw, w)
+                for lw, w in zip(lws, ups.words)
+                if order(w) >= k_aligned
+            )
+            add(_check(j, "embed-sandwich-lower", sw_min, ">=", -LOG_SLACK, sw_wit_lo))
+            add(_check(j, "embed-sandwich-upper", sw_max, "<=", log_pq + LOG_SLACK, sw_wit_hi))
 
         # comparable-descendant family at sampled anchors
-        s2_max_ratio, s2_max_gap, s2_wit = 0.0, 0, ""
         sampled = _evenly_spaced(ups.words, s2_samples)
+        s2_stats: list[tuple[float, Word, int]] = []
         for sigma in sampled:
             fam = s2_family(spec, consts, sigma)
-            e_sigma = math.exp(t * log_weight(spec, consts.r, sigma))
-            ratio = math.fsum(
-                math.exp(t * log_weight(spec, consts.r, w)) for w in fam
-            ) / e_sigma
-            if ratio > s2_max_ratio:
-                s2_max_ratio, s2_wit = ratio, encode_word(sigma)
-            s2_max_gap = max(s2_max_gap, max(order(w) for w in fam) - order(sigma))
-        add("s2-mass", s2_max_ratio, "<=", consts.H3 * (1.0 + LOG_SLACK), s2_wit)
-        add("s2-gap", float(s2_max_gap), "<=", float(consts.M))
+            ratio = math.fsum(energy(spec, consts, w) for w in fam) / energy(spec, consts, sigma)
+            s2_stats.append((ratio, sigma, max(order(w) for w in fam) - order(sigma)))
+        _, _, s2_max_ratio, s2_wit = _extremes((ratio, sigma) for ratio, sigma, _ in s2_stats)
+        s2_max_gap = max(gap for _, _, gap in s2_stats)
+        add(_check(j, "s2-mass", s2_max_ratio, "<=", consts.H3 * (1.0 + LOG_SLACK), s2_wit))
+        add(_check(j, "s2-gap", float(s2_max_gap), "<=", float(consts.M)))
 
         # multi-level construction
         res = build_l1_l2(spec, consts, ups, cap=cap)
         phi_by_j[j] = res.phi
         if res.gamma_defects:
-            add("gamma-partition", max(res.gamma_defects), "<=", MASS_TOL)
-        shape_ok = res.l1_distinct
-        bad_shape = ""
+            add(_check(j, "gamma-partition", max(res.gamma_defects), "<=", MASS_TOL))
+        bad_shape = None
         for w in res.l1:
             try:
                 validate_word(spec, w)
             except ValueError:
-                shape_ok = False
-                bad_shape = encode_word(w)
+                bad_shape = w
                 break
-        add("l1-shape", 0.0 if shape_ok else 1.0, "<=", 0.0, bad_shape)
+        shape_ok = res.l1_distinct and bad_shape is None
+        add(_check(j, "l1-shape", 0.0 if shape_ok else 1.0, "<=", 0.0, bad_shape))
 
         # energy band of the glued level
         e_lo = math.log(consts.Q) - 2.0 * math.log(consts.P) + (j + 1) * t * log_eta
         e_hi = log_pq + j * t * log_eta
-        l1_lo, l1_hi = math.inf, -math.inf
-        wit_lo = wit_hi = ""
-        for w in res.l1:
-            le = t * log_weight(spec, consts.r, w)
-            if le < l1_lo:
-                l1_lo, wit_lo = le, encode_word(w)
-            if le > l1_hi:
-                wit_hi = encode_word(w)
-                l1_hi = le
-        add("l1-energy-lower", l1_lo - e_lo, ">=", -LOG_SLACK, wit_lo)
-        add("l1-energy-upper", l1_hi - e_hi, "<", LOG_SLACK, wit_hi)
+        l1_lo, l1_wit_lo, l1_hi, l1_wit_hi = _extremes(
+            (log_energy(spec, consts, w), w) for w in res.l1
+        )
+        add(_check(j, "l1-energy-lower", l1_lo - e_lo, ">=", -LOG_SLACK, l1_wit_lo))
+        add(_check(j, "l1-energy-upper", l1_hi - e_hi, "<", LOG_SLACK, l1_wit_hi))
 
         # the core is an antichain: no member is an ancestor of another
         core_set = set(res.l2)
-        core_ok, core_wit = True, ""
-        for rho in res.l2:
-            w = rho
-            while order(w) > res.k1:
-                w = flatten(spec, w)
-                if w in core_set:
-                    core_ok, core_wit = False, encode_word(rho)
-                    break
-            if not core_ok:
-                break
-        add("l2-antichain", 0.0 if core_ok else 1.0, "<=", 0.0, core_wit)
+        core_wit = next(
+            (rho for rho in res.l2 if any(w in core_set for w in _ancestors(spec, rho, res.k1))),
+            None,
+        )
+        add(_check(j, "l2-antichain", 0.0 if core_wit is None else 1.0, "<=", 0.0, core_wit))
 
         # core energy bracket and count band
-        l2_energy = math.fsum(
-            math.exp(t * log_weight(spec, consts.r, w)) for w in res.l2
-        )
+        l2_energy = math.fsum(energy(spec, consts, w) for w in res.l2)
         s10_bound = consts.Q / (consts.H3 * consts.P)
-        add("l2-energy-lower", l2_energy, ">=", s10_bound * (1.0 - LOG_SLACK))
-        add("l2-energy-upper", l2_energy, "<=", 1.0 + LOG_SLACK)
-        add(
-            "count-band-lower",
-            float(res.phi),
-            ">=",
-            consts.H5 * math.exp(-j * t * log_eta) * (1.0 - LOG_SLACK),
-        )
-        add(
-            "count-band-upper",
-            float(res.phi),
-            "<=",
-            consts.H4 * math.exp(-(j + 1) * t * log_eta) * (1.0 + LOG_SLACK),
-        )
+        add(_check(j, "l2-energy-lower", l2_energy, ">=", s10_bound * (1.0 - LOG_SLACK)))
+        add(_check(j, "l2-energy-upper", l2_energy, "<=", 1.0 + LOG_SLACK))
+        count_lo = consts.H5 * math.exp(-j * t * log_eta) * (1.0 - LOG_SLACK)
+        count_hi = consts.H4 * math.exp(-(j + 1) * t * log_eta) * (1.0 + LOG_SLACK)
+        add(_check(j, "count-band-lower", float(res.phi), ">=", count_lo))
+        add(_check(j, "count-band-upper", float(res.phi), "<=", count_hi))
 
         certificates.append(
             JCertificate(
@@ -657,21 +618,10 @@ def certify(
     cross: list[CertificateCheck] = []
     growth_factor = float(spec.m * spec.n) ** consts.H1
     for j in j_list:
-        if j + 1 not in psi_by_j:
-            continue
-        a, b = psi_by_j[j], psi_by_j[j + 1]
-        cross.append(
-            CertificateCheck(
-                j=j, name="psi-monotone", value=float(b), op=">=",
-                bound=float(a), passed=b >= a,
-            )
-        )
-        cross.append(
-            CertificateCheck(
-                j=j, name="psi-growth", value=float(b), op="<=",
-                bound=growth_factor * a, passed=b <= growth_factor * a,
-            )
-        )
+        if j + 1 in psi_by_j:
+            a, b = psi_by_j[j], psi_by_j[j + 1]
+            cross.append(_check(j, "psi-monotone", float(b), ">=", float(a)))
+            cross.append(_check(j, "psi-growth", float(b), "<=", growth_factor * a))
 
     h6 = 1
     ratio_log = math.log(consts.H5) - math.log(consts.H4)
@@ -679,21 +629,10 @@ def certify(
         h6 += 1
     h7 = (consts.H4 / consts.H5) * math.exp(-(h6 + 1) * t * log_eta)
     for j in j_list:
-        if j + h6 not in phi_by_j:
-            continue
-        lo, hi = phi_by_j[j], phi_by_j[j + h6]
-        cross.append(
-            CertificateCheck(
-                j=j, name="phi-growth-strict", value=float(hi), op=">=",
-                bound=float(lo + 1), passed=hi > lo,
-            )
-        )
-        cross.append(
-            CertificateCheck(
-                j=j, name="phi-growth-cap", value=float(hi), op="<=",
-                bound=h7 * lo, passed=hi <= h7 * lo,
-            )
-        )
+        if j + h6 in phi_by_j:
+            lo, hi = phi_by_j[j], phi_by_j[j + h6]
+            cross.append(_check(j, "phi-growth-strict", float(hi), ">=", float(lo + 1)))
+            cross.append(_check(j, "phi-growth-cap", float(hi), "<=", h7 * lo))
 
     return CertificateReport(
         r=consts.r,

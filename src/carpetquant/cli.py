@@ -9,26 +9,27 @@ bound failed, 2 bad config or arguments, 3 a resource cap was exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
-import os
 import sys
 from pathlib import Path
 
-from .antichain import CapExceeded, build_upsilon, certify
+from .antichain import CapExceeded, CertificateReport, build_upsilon, certify
 from .carpet import CarpetError, CarpetSpec, derive_indices, load_config, validate_spec
 from .constants import constants
 from .quantize import antichain_codebook, distortion, lloyd_best, sample, theoretical_proxy
 from .runner import (
     ANTICHAIN_COLUMNS,
+    CERTIFICATE_COLUMNS,
     ConfigError,
     DIMENSION_COLUMNS,
     QUANTIZE_COLUMNS,
     RunConfig,
     StageError,
     _antichain_rows,
+    _certificate_rows,
     _dimension_row,
-    format_value,
+    check_fields,
     run,
+    write_rows,
 )
 
 __all__ = ["main"]
@@ -75,13 +76,6 @@ def _parse_j_interval(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected 'lo:hi', got {text!r}")
 
 
-def _emit(header, rows) -> None:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_value(v) for v in row])
-
-
 def _load_spec(path: str) -> CarpetSpec:
     spec = load_config(path)
     validate_spec(spec)
@@ -99,52 +93,49 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
+    check_fields(args.r)
     spec = _load_spec(args.config)
     rows = [_dimension_row(r, constants(spec, r)) for r in args.r]
-    _emit(DIMENSION_COLUMNS, rows)
+    write_rows(sys.stdout, DIMENSION_COLUMNS, rows)
     return EXIT_OK
 
 
-def _cmd_antichain(args) -> int:
+def _certify(args) -> CertificateReport:
+    check_fields((args.r,), args.j, cap=args.cap)
     spec = _load_spec(args.config)
-    consts = constants(spec, args.r)
-    report = certify(spec, consts, args.j, cap=args.cap)
+    return certify(spec, constants(spec, args.r), args.j, cap=args.cap)
+
+
+def _cmd_antichain(args) -> int:
+    report = _certify(args)
     rows = [row[1:] for row in _antichain_rows(args.r, report)]
-    _emit(ANTICHAIN_COLUMNS[1:], rows)
+    write_rows(sys.stdout, ANTICHAIN_COLUMNS[1:], rows)
     return EXIT_OK if report.all_pass else EXIT_CERT_FAIL
 
 
 def _cmd_certify(args) -> int:
-    spec = _load_spec(args.config)
-    consts = constants(spec, args.r)
-    report = certify(spec, consts, args.j, cap=args.cap)
-    header = ("j", "check", "value", "op", "bound", "passed", "witness")
-    rows = []
-    for cert in report.certificates:
-        for chk in cert.checks:
-            rows.append((chk.j, chk.name, chk.value, chk.op, chk.bound, chk.passed, chk.witness))
-    for chk in report.cross_checks:
-        rows.append((chk.j, chk.name, chk.value, chk.op, chk.bound, chk.passed, chk.witness))
-    _emit(header, rows)
-    if not report.all_pass:
-        for chk in report.failures:
-            print(f"FAIL j={chk.j} {chk.name}: {chk.value} {chk.op} {chk.bound}", file=sys.stderr)
-        return EXIT_CERT_FAIL
-    return EXIT_OK
+    report = _certify(args)
+    rows = [row[1:] for row in _certificate_rows(args.r, report)]
+    write_rows(sys.stdout, CERTIFICATE_COLUMNS[1:], rows)
+    for chk in report.failures:
+        print(f"FAIL j={chk.j} {chk.name}: {chk.value} {chk.op} {chk.bound}", file=sys.stderr)
+    return EXIT_OK if report.all_pass else EXIT_CERT_FAIL
 
 
 def _cmd_quantize(args) -> int:
+    check_fields((args.r,), (), args.k, args.samples, args.seed, restarts=args.restarts)
     spec = _load_spec(args.config)
     pool = sample(spec, args.samples, args.seed)
     rows = []
     for k in args.k:
         res = lloyd_best(pool, k, args.r, args.seed, restarts=args.restarts)
         rows.append((k, res.distortion ** (1.0 / args.r), res.iters, res.restarts_used))
-    _emit(QUANTIZE_COLUMNS[1:], rows)
+    write_rows(sys.stdout, QUANTIZE_COLUMNS[1:], rows)
     return EXIT_OK
 
 
 def _cmd_proxy(args) -> int:
+    check_fields((args.r,), args.j, samples=args.samples, seed=args.seed, cap=args.cap)
     spec = _load_spec(args.config)
     consts = constants(spec, args.r)
     pool = sample(spec, args.samples, args.seed)
@@ -154,7 +145,7 @@ def _cmd_proxy(args) -> int:
         proxy = theoretical_proxy(spec, consts, ac)
         cb = antichain_codebook(spec, ac)
         rows.append((j, ac.psi, proxy, distortion(pool, cb, args.r)))
-    _emit(("j", "psi", "proxy", "antichain_distortion"), rows)
+    write_rows(sys.stdout, ("j", "psi", "proxy", "antichain_distortion"), rows)
     return EXIT_OK
 
 
@@ -241,25 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_thread_env() -> str | None:
-    """CARPET_QUANT_THREADS caps workers; stages run on one, so >= 1 is enough."""
-    raw = os.environ.get("CARPET_QUANT_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return f"CARPET_QUANT_THREADS must be an integer, got {raw!r}"
-    if value < 1:
-        return f"CARPET_QUANT_THREADS must be >= 1, got {value}"
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
-    env_problem = _check_thread_env()
-    if env_problem is not None:
-        print(f"error: {env_problem}", file=sys.stderr)
-        return EXIT_CONFIG
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

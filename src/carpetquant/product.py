@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from .carpet import CarpetSpec, derive_indices
+from .carpet import CarpetSpec
 from .constants import SpectralConstants
-from .words import Word, ell, log_tables, order
+from .words import Word, ell, ell_steps, log_tables, order, step_table
 
 __all__ = [
     "EmptyPair",
@@ -136,13 +136,11 @@ def aligned_children(
     cell (all occupied cells); otherwise the row block gains one row digit.
     Either way the children's W masses sum to the parent's.
     """
-    idx = derive_indices(spec)
-    total = pair_order(c) + offset
-    if ell(spec, total + 1) == ell(spec, total) + 1:
+    if ell_steps(spec, pair_order(c) + offset):
         return tuple(
             CylinderPair(c.sigma + ((i, j),), c.omega) for i, j, _ in spec.entries
         )
-    return tuple(CylinderPair(c.sigma, c.omega + (j,)) for j in idx.g_y)
+    return tuple(CylinderPair(c.sigma, c.omega + (j,)) for j, _ in step_table(spec).rows)
 
 
 def gamma_h(
@@ -169,7 +167,7 @@ def paired_flatten(spec: CarpetSpec, c: CylinderPair, offset: int = 0) -> Cylind
         raise EmptyPair("the empty pair has no parent")
     if not is_aligned(spec, c, offset):
         raise MisalignedPair(f"pair {c} is not aligned at offset {offset}")
-    if ell(spec, offset + d - 1) == len(c.sigma) + ell(spec, offset):
+    if not ell_steps(spec, offset + d - 1):
         return CylinderPair(c.sigma, c.omega[:-1])
     return CylinderPair(c.sigma[:-1], c.omega)
 

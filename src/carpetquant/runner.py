@@ -14,7 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence, TextIO, TypeVar
 
 from .antichain import CertificateReport, certify
 from .carpet import CarpetError, CarpetSpec, load_config, validate_spec
@@ -26,9 +26,11 @@ __all__ = [
     "StageError",
     "RunConfig",
     "run",
+    "check_fields",
     "fit_slope",
     "format_value",
     "write_csv",
+    "write_rows",
 ]
 
 _T = TypeVar("_T")
@@ -85,12 +87,16 @@ def format_value(value: object) -> str:
     return str(value)
 
 
+def write_rows(fh: TextIO, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_value(v) for v in row])
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        write_rows(fh, header, rows)
 
 
 def fit_slope(ks: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:
@@ -110,6 +116,35 @@ def fit_slope(ks: Sequence[int], errors: Sequence[float]) -> tuple[float, float]
     return slope, err
 
 
+def check_fields(
+    r_values: Sequence[float],
+    j_values: Sequence[int] = (),
+    k_grid: Sequence[int] = (1,),
+    samples: int = 1,
+    seed: int = 0,
+    cap: int = 1,
+    restarts: int = 1,
+) -> None:
+    """Reject an out-of-range run or command-line field with ConfigError.
+
+    Every default passes, so a command checks just the fields it takes.
+    """
+    if not r_values or not all(0 < r < math.inf for r in r_values):
+        raise ConfigError(f"r values must be positive and finite, got {r_values!r}")
+    if any(j < 0 for j in j_values):
+        raise ConfigError(f"scale levels must be >= 0, got {j_values!r}")
+    if not k_grid or any(k < 1 for k in k_grid):
+        raise ConfigError(f"codebook sizes must be >= 1, got {k_grid!r}")
+    if samples < max(k_grid):
+        raise ConfigError(f"pool of {samples} cannot host {max(k_grid)} centers")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    if cap < 1:
+        raise ConfigError(f"cap must be >= 1, got {cap}")
+    if restarts < 1:
+        raise ConfigError(f"restarts must be >= 1, got {restarts}")
+
+
 def validate_run_config(cfg: RunConfig) -> CarpetSpec:
     """Check every field and load the carpet; raise ConfigError otherwise."""
     try:
@@ -117,21 +152,9 @@ def validate_run_config(cfg: RunConfig) -> CarpetSpec:
         validate_spec(spec)
     except (CarpetError, OSError, ValueError) as exc:
         raise ConfigError(f"bad carpet config: {exc}") from exc
-    if not cfg.r_values or any(r <= 0 for r in cfg.r_values):
-        raise ConfigError(f"r values must be positive, got {cfg.r_values!r}")
-    lo, hi = cfg.j_range
-    if lo < 0 or hi < lo:
-        raise ConfigError(f"scale range must satisfy 0 <= lo <= hi, got {cfg.j_range!r}")
-    if not cfg.k_grid or any(k < 1 for k in cfg.k_grid):
-        raise ConfigError(f"codebook sizes must be >= 1, got {cfg.k_grid!r}")
-    if cfg.samples < max(cfg.k_grid):
-        raise ConfigError(f"pool of {cfg.samples} cannot host {max(cfg.k_grid)} centers")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
-    if cfg.cap < 1:
-        raise ConfigError(f"cap must be >= 1, got {cfg.cap}")
-    if cfg.restarts < 1:
-        raise ConfigError(f"restarts must be >= 1, got {cfg.restarts}")
+    if cfg.j_range[1] < cfg.j_range[0]:
+        raise ConfigError(f"scale range must satisfy lo <= hi, got {cfg.j_range!r}")
+    check_fields(cfg.r_values, cfg.j_range, cfg.k_grid, cfg.samples, cfg.seed, cfg.cap, cfg.restarts)
     return spec
 
 
@@ -169,13 +192,9 @@ def _antichain_rows(r: float, report: CertificateReport) -> list[tuple]:
 
 
 def _certificate_rows(r: float, report: CertificateReport) -> list[tuple]:
-    rows = []
-    for cert in report.certificates:
-        for chk in cert.checks:
-            rows.append((r, chk.j, chk.name, chk.value, chk.op, chk.bound, chk.passed, chk.witness))
-    for chk in report.cross_checks:
-        rows.append((r, chk.j, chk.name, chk.value, chk.op, chk.bound, chk.passed, chk.witness))
-    return rows
+    return [
+        (r, c.j, c.name, c.value, c.op, c.bound, c.passed, c.witness) for c in report.checks
+    ]
 
 
 def run(cfg: RunConfig) -> int:
@@ -193,6 +212,7 @@ def run(cfg: RunConfig) -> int:
     j_values = tuple(range(cfg.j_range[0], cfg.j_range[1] + 1))
 
     try:
+        pool = _stage("sample", sample, spec, cfg.samples, cfg.seed)
         for r in cfg.r_values:
             consts = _stage("dimension", constants, spec, r)
             dimension_rows.append(_dimension_row(r, consts))
@@ -202,7 +222,6 @@ def run(cfg: RunConfig) -> int:
             certificate_rows.extend(_certificate_rows(r, report))
             all_pass = all_pass and report.all_pass
 
-            pool = _stage("sample", sample, spec, cfg.samples, cfg.seed)
             results: list[LloydResult] = []
             for k in cfg.k_grid:
                 results.append(

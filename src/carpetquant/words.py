@@ -29,6 +29,8 @@ __all__ = [
     "Relation",
     "order",
     "ell",
+    "ell_steps",
+    "step_table",
     "validate_word",
     "children",
     "flatten",
@@ -116,6 +118,35 @@ def validate_word(spec: CarpetSpec, w: Word) -> Word:
     return w
 
 
+def ell_steps(spec: CarpetSpec, k: int) -> bool:
+    """True when refining an order-k word upgrades its oldest row digit: ell(k+1) > ell(k)."""
+    return ell(spec, k + 1) != ell(spec, k)
+
+
+class StepTable(NamedTuple):
+    rows: tuple[tuple[int, float], ...]
+    upgrades: dict[int, tuple[tuple[int, float], ...]]
+
+
+@lru_cache(maxsize=None)
+def step_table(spec: CarpetSpec) -> StepTable:
+    """The digits one refinement step adds, with their log-measure increments.
+
+    ``rows`` pairs each occupied row digit j with log q_j; ``upgrades`` maps a
+    head row digit j to its cells (i, j), each with log p_ij - log q_j.  Both
+    run in the digit order of ``children`` (cached; treat as read-only).
+    """
+    log_p, log_q = log_tables(spec)
+    idx = derive_indices(spec)
+    return StepTable(
+        rows=tuple((j, log_q[j]) for j in idx.g_y),
+        upgrades={
+            j: tuple((i, log_p[(i, j)] - log_q[j]) for i in idx.columns_of(j))
+            for j in idx.g_y
+        },
+    )
+
+
 def children(spec: CarpetSpec, w: Word) -> tuple[Word, ...]:
     """One refinement step, in deterministic digit order.
 
@@ -123,16 +154,15 @@ def children(spec: CarpetSpec, w: Word) -> tuple[Word, ...]:
     oldest row digit is upgraded to a full cell (one child per occupied
     column of that row) and a fresh trailing row digit is appended.
     """
-    idx = derive_indices(spec)
-    k = order(w)
-    if ell(spec, k + 1) == ell(spec, k):
-        return tuple(Word(w.a, w.b + (j,)) for j in idx.g_y)
-    j_head = w.b[0]
+    rows, upgrades = step_table(spec)
+    if not ell_steps(spec, order(w)):
+        return tuple(Word(w.a, w.b + (j,)) for j, _ in rows)
+    j_head, tail = w.b[0], w.b[1:]
     out = []
-    for i in idx.columns_of(j_head):
+    for i, _ in upgrades[j_head]:
         a = w.a + ((i, j_head),)
-        for j in idx.g_y:
-            out.append(Word(a, w.b[1:] + (j,)))
+        for j, _ in rows:
+            out.append(Word(a, tail + (j,)))
     return tuple(out)
 
 
@@ -141,7 +171,7 @@ def flatten(spec: CarpetSpec, w: Word) -> Word:
     k = order(w)
     if k == 0:
         raise EmptyWord("the root word has no parent")
-    if ell(spec, k) == ell(spec, k - 1):
+    if not ell_steps(spec, k - 1):
         return Word(w.a, w.b[:-1])
     last_cell = w.a[-1]
     return Word(w.a[:-1], (last_cell[1],) + w.b[:-1])

@@ -6,6 +6,7 @@ import pytest
 
 import carpetquant as cq
 from carpetquant import Word
+from carpetquant.antichain import _evenly_spaced
 
 
 def test_upsilon_j0(desk1, consts2, upsilon):
@@ -89,6 +90,28 @@ def test_s2_family_contains_anchor_and_respects_bounds(desk1, consts2):
         for w in fam:
             assert cq.energy(desk1, consts2, w) >= e_sigma / consts2.H2 * (1 - 1e-11)
             assert w == sigma or cq.compare(desk1, sigma, w) is cq.Relation.PRECEDES
+
+
+TIE = {"m": 2, "n": 4, "entries": [[0, 0, "1/2"], [1, 1, "1/4"], [3, 1, "1/4"]]}
+
+
+@pytest.mark.parametrize("config, r", [("desk1", 1.0), ("desk1", 2.0), ("tie", 1.0)])
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_s2_family_matches_reference_walk(desk1, config, r, j):
+    spec = desk1 if config == "desk1" else cq.load_config(TIE)
+    consts = cq.constants(spec, r)
+    ups = cq.build_upsilon(spec, consts, j)
+    for sigma in _evenly_spaced(ups.words, 20):
+        # energy falls along refinement, so pruning below the cut loses no member
+        cut = cq.log_energy(spec, consts, sigma) - math.log(consts.H2)
+        want, stack = [], [sigma]
+        while stack:
+            w = stack.pop()
+            if cq.log_energy(spec, consts, w) >= cut:
+                want.append(w)
+                stack.extend(cq.children(spec, w))
+        want.sort(key=lambda w: (cq.order(w), w.a, w.b))
+        assert cq.s2_family(spec, consts, sigma) == want, cq.encode_word(sigma)
 
 
 def test_gamma_tau_partition(desk1, consts2, pw2, upsilon):

@@ -157,11 +157,29 @@ def test_run_tiny_cap_exits_3_with_partial_output(desk1_path, tmp_path, capsys):
     assert len(dim) == 2  # header plus the completed dimension stage row
 
 
-def test_thread_env_guard(desk1_path, capsys, monkeypatch):
-    monkeypatch.setenv("CARPET_QUANT_THREADS", "abc")
-    assert cli.main(["validate", "--config", desk1_path]) == 2
-    monkeypatch.setenv("CARPET_QUANT_THREADS", "0")
-    assert cli.main(["validate", "--config", desk1_path]) == 2
-    monkeypatch.setenv("CARPET_QUANT_THREADS", "4")
+def test_certify_prints_run_certificates_without_r(desk1_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["--j", "0:3", "--k", "1", "--samples", "500", "--restarts", "1"]
+    assert cli.main(["run", "--config", desk1_path, "--out", str(out)] + args) == 0
+    run_lines = (out / "certificates.csv").read_text().splitlines()
     capsys.readouterr()
-    assert cli.main(["validate", "--config", desk1_path]) == 0
+    assert cli.main(["certify", "--config", desk1_path, "--j", "0:3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [line.split(",", 1)[1] for line in run_lines]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quantize", "--restarts", "0"],
+        ["quantize", "--k", "0"],
+        ["quantize", "--k", "200", "--samples", "100"],
+        ["dimension", "--r", "0"],
+        ["certify", "--r", "-1"],
+        ["proxy", "--samples", "0"],
+    ],
+    ids=" ".join,
+)
+def test_bad_argument_exits_2(desk1_path, capsys, argv):
+    assert cli.main(argv[:1] + ["--config", desk1_path] + argv[1:]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
