@@ -29,6 +29,7 @@ from .runner import (
     _dimension_row,
     check_fields,
     run,
+    warn_capped,
     write_rows,
 )
 
@@ -130,6 +131,7 @@ def _cmd_quantize(args) -> int:
     for k in args.k:
         res = lloyd_best(pool, k, args.r, args.seed, restarts=args.restarts)
         rows.append((k, res.distortion ** (1.0 / args.r), res.iters, res.restarts_used))
+        warn_capped(args.r, k, res)
     write_rows(sys.stdout, QUANTIZE_COLUMNS[1:], rows)
     return EXIT_OK
 

@@ -37,10 +37,16 @@ __all__ = [
     "theoretical_proxy",
 ]
 
-# Brute-force nearest neighbour above this codebook size would thrash memory;
-# a KD-tree gives identical (exact) distances.
+# Above this codebook size a KD-tree beats dense scoring; its distances are
+# exact too, equal to the dense ones up to rounding.
 _TREE_THRESHOLD = 512
 _CHUNK_ENTRIES = 4_000_000
+# Lloyd keeps a label without rescoring only when its bounds put every rival
+# center farther by more than this share of the squared coordinate scale.
+# That dwarfs the rounding of the score |c|^2 - 2 p.c (a few ulp of the
+# scale squared) and of the bounds' running updates, so every kept label is
+# the one dense scoring would pick.
+_KEEP_MARGIN = 1e-9
 
 
 class BadK(ValueError):
@@ -73,6 +79,7 @@ class LloydResult:
     iters: int
     repairs: int
     restarts_used: int = 1
+    capped: int = 0
 
 
 def sample(spec: CarpetSpec, n: int, seed: int, burn_in: int = 64) -> SamplePool:
@@ -100,35 +107,61 @@ def sample(spec: CarpetSpec, n: int, seed: int, burn_in: int = 64) -> SamplePool
     return SamplePool(points=points, seed=seed, n=n, burn_in=burn_in)
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-center labels and exact squared distances (ties: lowest index).
+def _dense(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Dense scoring: labels, exact squared distances, second-nearest squared distances.
 
     The argmin runs on |c|^2 - 2 p.c (the per-point |p|^2 term cannot change
-    the winner), which is one BLAS matmul; the reported distance is then
-    recomputed exactly for the chosen center only.
+    the winner), which is one BLAS matmul per chunk, scored in place; ties go
+    to the lowest index.  The reported distance is recomputed exactly for the
+    chosen center only.  The second-nearest distance is |p|^2 plus the best
+    score left once the winner is masked (inf when k = 1), so it carries the
+    score's rounding.
     """
     k = len(centers)
-    if k > _TREE_THRESHOLD:
-        dist, labels = cKDTree(centers).query(points)
-        return labels.astype(np.int64), dist * dist
     c2 = np.einsum("ij,ij->i", centers, centers)
     n = len(points)
     labels = np.empty(n, dtype=np.int64)
     dmin2 = np.empty(n, dtype=np.float64)
+    second2 = np.empty(n, dtype=np.float64)
     step = max(1, _CHUNK_ENTRIES // max(k, 1))
     for start in range(0, n, step):
         block = points[start : start + step]
-        scores = c2[None, :] - 2.0 * (block @ centers.T)
+        scores = block @ centers.T
+        scores *= -2.0
+        scores += c2
         lab = np.argmin(scores, axis=1)
         diff = block - centers[lab]
         labels[start : start + step] = lab
         dmin2[start : start + step] = np.einsum("ij,ij->i", diff, diff)
-    return labels, dmin2
+        scores[np.arange(len(block)), lab] = np.inf
+        rest = scores.min(axis=1) + np.einsum("ij,ij->i", block, block)
+        second2[start : start + step] = np.maximum(rest, 0.0)
+    return labels, dmin2, second2
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Nearest-center labels, squared distances, and second-nearest squared distances.
+
+    Up to _TREE_THRESHOLD centers the dense kernel scores every pair.  Above
+    it a KD-tree finds the two nearest centers; where their distances tie,
+    the dense kernel relabels those points, so both paths give ties to the
+    lowest index.  The tree's distances are kept as they are: they agree with
+    the dense ones to rounding, not bit for bit.
+    """
+    if len(centers) <= _TREE_THRESHOLD:
+        return _dense(points, centers)
+    dist, idx = cKDTree(centers).query(points, k=2)
+    labels = idx[:, 0].astype(np.int64)
+    tied = np.flatnonzero(dist[:, 0] == dist[:, 1])
+    if len(tied):
+        labels[tied] = _dense(points[tied], centers)[0]
+    first, second = dist[:, 0], dist[:, 1]
+    return labels, first * first, second * second
 
 
 def distortion(pool: SamplePool, cb: Codebook, r: float) -> float:
     """(1/n) sum of r-th powers of nearest-codeword distances over the pool."""
-    _, dmin2 = _nearest(pool.points, cb.points)
+    _, dmin2, _ = _nearest(pool.points, cb.points)
     return float(np.mean(dmin2 ** (r / 2.0)))
 
 
@@ -141,7 +174,7 @@ def distortion_stats(
     i.i.d. stderr would understate; batch means over contiguous blocks are
     the standard correction.
     """
-    _, dmin2 = _nearest(pool.points, cb.points)
+    _, dmin2, _ = _nearest(pool.points, cb.points)
     dr = dmin2 ** (r / 2.0)
     value = float(np.mean(dr))
     b = min(batches, len(dr))
@@ -186,6 +219,42 @@ def _cell_centers_r(
     return new
 
 
+def _reassign(
+    points: np.ndarray,
+    centers: np.ndarray,
+    labels: np.ndarray,
+    lower: np.ndarray,
+    scale: float,
+) -> np.ndarray:
+    """Hamerly's assignment step: keep the labels the bounds prove, rescore the rest.
+
+    The upper bound is the exact distance d to the assigned center, which
+    the distortion needs anyway.  A label is kept when every rival is farther
+    by the margin, through lower (a bound on the second-nearest distance) or
+    through s, half the distance from the assigned center to its nearest
+    other center: a rival lies at least 2s - d away.  The other points go
+    through _nearest.  Updates labels and lower in place; returns the squared
+    distances to the assigned centers.
+    """
+    diff = points - centers[labels]
+    dmin2 = np.einsum("ij,ij->i", diff, diff)
+    slack = _KEEP_MARGIN * scale * scale
+    half = 0.5 * cKDTree(centers).query(centers, k=2)[0][:, 1]
+    # (2s - d)^2 - d^2 = 4s(s - d) > slack  <=>  d < s - slack / (4s)
+    with np.errstate(divide="ignore"):
+        reach = half - slack / (4.0 * half)
+    by_center = np.where(reach > 0.0, reach * reach, 0.0)
+    lo = np.maximum(lower, 0.0)
+    keep = dmin2 < np.maximum(lo * lo - slack, by_center[labels])
+    redo = np.flatnonzero(~keep)
+    if len(redo):
+        lab, d2, second2 = _nearest(points[redo], centers)
+        labels[redo] = lab
+        dmin2[redo] = d2
+        lower[redo] = np.sqrt(second2)
+    return dmin2
+
+
 def lloyd(
     pool: SamplePool,
     k: int,
@@ -200,7 +269,13 @@ def lloyd(
     Alternates nearest-point partition (ties to the lowest index) with
     per-cell center updates (mean for r=2, damped descent otherwise).  Empty
     cells are reseeded on the farthest pool points and counted as repairs.
-    Stops when the relative distortion improvement drops below tol.
+    Stops when the relative distortion improvement drops below tol; a descent
+    that reaches max_iters first is reported as capped.
+
+    The partition is Hamerly's (SDM 2010, see _reassign) and equals that of
+    rescoring every point on every iteration.  Each point's lower bound on
+    its second-nearest distance drops by the largest shift of any other
+    center per update, and is rebuilt by one full rescoring after a repair.
     """
     if k < 1:
         raise BadK(f"codebook size must be >= 1, got {k}")
@@ -217,14 +292,25 @@ def lloyd(
         rng = np.random.default_rng(init)
         centers = points[rng.choice(pool.n, size=k, replace=False)].copy()
 
+    # Largest |p| + |c| seen in this descent: the scale of the score's rounding.
+    point_norm = math.sqrt(float(np.einsum("ij,ij->i", points, points).max()))
+    scale = 0.0
+    lower: np.ndarray | None = None
     repairs = 0
     prev = math.inf
     dist = math.inf
     iters = 0
+    converged = False
     repair_budget = 3 * k + 10
     while iters < max_iters:
         iters += 1
-        labels, dmin2 = _nearest(points, centers)
+        center_norm = math.sqrt(float(np.einsum("ij,ij->i", centers, centers).max()))
+        scale = max(scale, point_norm + center_norm)
+        if lower is None:
+            labels, dmin2, second2 = _nearest(points, centers)
+            lower = np.sqrt(second2)
+        else:
+            dmin2 = _reassign(points, centers, labels, lower, scale)
         dist = float(np.mean(dmin2 ** (r / 2.0)))
         if trace is not None:
             trace.append(dist)
@@ -236,10 +322,13 @@ def lloyd(
             repairs += len(empties)
             repair_budget -= len(empties)
             prev = math.inf  # repaired codebook is a fresh descent
+            lower = None
             continue
         if math.isfinite(prev) and prev - dist <= tol * abs(prev):
+            converged = True
             break
         prev = dist
+        old = centers.copy()
         if r == 2.0:
             sums_x = np.bincount(labels, weights=points[:, 0], minlength=k)
             sums_y = np.bincount(labels, weights=points[:, 1], minlength=k)
@@ -248,8 +337,13 @@ def lloyd(
             centers[nonzero, 1] = sums_y[nonzero] / counts[nonzero]
         else:
             centers = _cell_centers_r(points, labels, centers, r)
+        moved = centers - old
+        shift = np.sqrt(np.einsum("ij,ij->i", moved, moved))
+        top = int(np.argmax(shift))
+        runner_up = np.delete(shift, top).max(initial=0.0)
+        lower -= np.where(labels == top, runner_up, shift[top])
     cb = Codebook(points=centers, k=k, origin="lloyd")
-    return LloydResult(codebook=cb, distortion=dist, iters=iters, repairs=repairs)
+    return LloydResult(cb, dist, iters, repairs, capped=int(not converged))
 
 
 def lloyd_best(
@@ -261,20 +355,24 @@ def lloyd_best(
     max_iters: int = 100,
     tol: float = 1e-9,
 ) -> LloydResult:
-    """Best of several seeded Lloyd descents (ties keep the earliest)."""
-    best: LloydResult | None = None
+    """Best of several seeded Lloyd descents (ties keep the earliest).
+
+    The result's capped counts every descent that reached max_iters.
+    """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    results = []
     for attempt in range(restarts):
         init = int(np.random.default_rng((seed, k, attempt)).integers(2**31))
-        result = lloyd(pool, k, r, init=init, max_iters=max_iters, tol=tol)
-        if best is None or result.distortion < best.distortion:
-            best = result
-    assert best is not None
+        results.append(lloyd(pool, k, r, init=init, max_iters=max_iters, tol=tol))
+    best = min(results, key=lambda res: res.distortion)
     return LloydResult(
         codebook=best.codebook,
         distortion=best.distortion,
         iters=best.iters,
         repairs=best.repairs,
         restarts_used=restarts,
+        capped=sum(res.capped for res in results),
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, TextIO, TypeVar
@@ -27,6 +28,7 @@ __all__ = [
     "RunConfig",
     "run",
     "check_fields",
+    "warn_capped",
     "fit_slope",
     "format_value",
     "write_csv",
@@ -145,6 +147,16 @@ def check_fields(
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
 
 
+def warn_capped(r: float, k: int, res: LloydResult) -> None:
+    """One stderr line when some of a best-of-restarts' descents hit the cap."""
+    if res.capped:
+        print(
+            f"warning: r={format_value(r)} k={k}: {res.capped} of {res.restarts_used} "
+            "Lloyd descents stopped at the iteration cap without converging",
+            file=sys.stderr,
+        )
+
+
 def validate_run_config(cfg: RunConfig) -> CarpetSpec:
     """Check every field and load the carpet; raise ConfigError otherwise."""
     try:
@@ -230,6 +242,7 @@ def run(cfg: RunConfig) -> int:
             errors = [res.distortion ** (1.0 / r) for res in results]
             for k, res, e in zip(cfg.k_grid, results, errors):
                 quantize_rows.append((r, k, e, res.iters, res.restarts_used))
+                warn_capped(r, k, res)
 
             slope, slope_err = fit_slope(cfg.k_grid, errors)
             scaled = [k ** (r / consts.s_r) * res.distortion for k, res in zip(cfg.k_grid, results)]

@@ -1,9 +1,11 @@
 import filecmp
+import functools
 import json
 
 import pytest
 
 import carpetquant.cli as cli
+from carpetquant import quantize, runner
 from carpetquant.runner import (
     ANTICHAIN_COLUMNS,
     DIMENSION_COLUMNS,
@@ -136,6 +138,26 @@ def test_run_repeat_is_byte_identical(desk1_path, tmp_path):
         assert cli.main(["run", "--config", desk1_path, "--out", str(out)] + SMALL_RUN) == 0
     for name in RUN_FILES:
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
+
+
+def test_capped_lloyd_warns_once_per_r_and_k(desk1_path, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    args = ["run", "--config", desk1_path, "--out", str(out)] + SMALL_RUN
+    assert cli.main(args) == 0
+    assert "warning:" not in capsys.readouterr().err
+    monkeypatch.setattr(runner, "lloyd_best", functools.partial(quantize.lloyd_best, max_iters=2))
+    assert cli.main(args + ["--r", "1,2", "--k", "2,4"]) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert [w.split(":")[1] for w in warnings] == [" r=1 k=2", " r=1 k=4", " r=2 k=2", " r=2 k=4"]
+    assert all(w.startswith("warning: ") and "2 of 2 Lloyd descents" in w for w in warnings)
+    quantize_csv = (out / "quantize.csv").read_text().splitlines()
+    assert quantize_csv[0] == ",".join(QUANTIZE_COLUMNS)
+    assert [row.split(",")[3] for row in quantize_csv[1:]] == ["2"] * 4
+    monkeypatch.setattr(cli, "lloyd_best", functools.partial(quantize.lloyd_best, max_iters=2))
+    assert cli.main(["quantize", "--config", desk1_path, "--k", "3", "--samples", "500"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: r=2 k=3: 5 of 5 Lloyd descents stopped at the iteration cap without converging\n"
+    )
 
 
 def test_run_bad_config_exits_2(bad_config, tmp_path, capsys):

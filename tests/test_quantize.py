@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import carpetquant as cq
+import carpetquant.quantize as qz
+from carpetquant.quantize import _nearest
 
 
 def batch_stderr(values, batches=100):
@@ -155,18 +157,155 @@ def test_tree_and_brute_nearest_agree(desk1):
     d_brute = cq.distortion(small, little, 2.0)
     assert d_tree <= d_brute  # superset codebook can only do better
     # and the two kernels agree on the same codebook
-    from carpetquant.quantize import _nearest
+    lab_a, d2_a, sec_a = _nearest(small.points, centers[:500])
+    lab_b, d2_b, sec_b = tree_nearest(small.points, centers[:500])
+    assert np.array_equal(lab_a, lab_b)
+    assert np.allclose(d2_a, d2_b, rtol=1e-10, atol=1e-15)
+    assert np.allclose(sec_a, sec_b, rtol=1e-10, atol=1e-15)
 
-    lab_a, d2_a = _nearest(small.points, centers[:500])
-    import carpetquant.quantize as qz
 
+def test_tree_ties_go_to_lowest_index():
+    # Dyadic grids make every score and distance exact, so exact ties abound:
+    # a point on the 1/128 grid is often equidistant from 2 or 4 centers.
+    rng = np.random.default_rng(5)
+    grid = np.array([(i, j) for i in range(65) for j in range(65)], dtype=np.float64) / 64
+    centers = grid[rng.choice(len(grid), size=600, replace=False)]
+    points = rng.integers(0, 129, size=(2000, 2)) / 128
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    lowest = np.argmin(d2, axis=1)  # first index among the minima
+    assert (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1).max() >= 4
+    labels, dmin2, _ = _nearest(points, centers)  # 600 centers: KD-tree path
+    assert np.array_equal(labels, lowest)
+    assert np.allclose(dmin2, d2.min(axis=1), rtol=1e-12, atol=0.0)
+    lowest = np.argmin(d2[:, :500], axis=1)
+    assert np.array_equal(tree_nearest(points, centers[:500])[0], lowest)
+    assert np.array_equal(_nearest(points, centers[:500])[0], lowest)
+
+
+def tree_nearest(points, centers):
+    """_nearest with the KD-tree path forced at any codebook size."""
     old = qz._TREE_THRESHOLD
     try:
         qz._TREE_THRESHOLD = 10
-        lab_b, d2_b = _nearest(small.points, centers[:500])
+        return _nearest(points, centers)
     finally:
         qz._TREE_THRESHOLD = old
-    assert np.allclose(d2_a, d2_b, rtol=1e-10, atol=1e-15)
+
+
+def reference_lloyd(pool, k, r, init, max_iters=100, tol=1e-9, trace=None):
+    """The full-rescore Lloyd loop: every point scored on every iteration."""
+    points = pool.points
+    if isinstance(init, cq.Codebook):
+        centers = np.array(init.points, dtype=np.float64, copy=True)
+    else:
+        rng = np.random.default_rng(init)
+        centers = points[rng.choice(pool.n, size=k, replace=False)].copy()
+    repairs = 0
+    prev = math.inf
+    dist = math.inf
+    iters = 0
+    repair_budget = 3 * k + 10
+    while iters < max_iters:
+        iters += 1
+        labels, dmin2, _ = _nearest(points, centers)
+        dist = float(np.mean(dmin2 ** (r / 2.0)))
+        if trace is not None:
+            trace.append(dist)
+        counts = np.bincount(labels, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if len(empties) and repair_budget > 0:
+            far = np.argsort(-dmin2, kind="stable")[: len(empties)]
+            centers[empties] = points[far]
+            repairs += len(empties)
+            repair_budget -= len(empties)
+            prev = math.inf
+            continue
+        if math.isfinite(prev) and prev - dist <= tol * abs(prev):
+            break
+        prev = dist
+        if r == 2.0:
+            sums_x = np.bincount(labels, weights=points[:, 0], minlength=k)
+            sums_y = np.bincount(labels, weights=points[:, 1], minlength=k)
+            nonzero = counts > 0
+            centers[nonzero, 0] = sums_x[nonzero] / counts[nonzero]
+            centers[nonzero, 1] = sums_y[nonzero] / counts[nonzero]
+        else:
+            centers = qz._cell_centers_r(points, labels, centers, r)
+    return centers, dist, iters, repairs
+
+
+def assert_matches_reference(pool, k, r, init, max_iters=100):
+    trace, ref_trace = [], []
+    res = cq.lloyd(pool, k, r, init=init, max_iters=max_iters, trace=trace)
+    centers, dist, iters, repairs = reference_lloyd(
+        pool, k, r, init, max_iters=max_iters, trace=ref_trace
+    )
+    assert np.array_equal(res.codebook.points, centers)
+    assert res.distortion == dist
+    assert (res.iters, res.repairs) == (iters, repairs)
+    assert trace == ref_trace
+    return res
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+def test_bounded_lloyd_matches_full_rescore(desk1, k, r):
+    small = cq.sample(desk1, 3000 if r == 2.0 else 1000, seed=40 + k)
+    assert_matches_reference(small, k, r, init=k, max_iters=100 if r == 2.0 else 25)
+
+
+def test_bounded_lloyd_matches_full_rescore_through_repairs(desk1):
+    small = cq.sample(desk1, 500, seed=9)
+    far = np.array([[40.0, 40.0], [40.0, 40.0]])
+    init = cq.Codebook(points=far, k=2, origin="random")
+    assert assert_matches_reference(small, 2, 2.0, init).repairs >= 1
+    # several coincident centers, some of them far away: repeated repairs
+    pts = np.vstack([small.points[:4], far, far])
+    init = cq.Codebook(points=pts, k=8, origin="random")
+    assert assert_matches_reference(small, 8, 2.0, init).repairs >= 3
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_bounded_lloyd_matches_full_rescore_with_exact_ties(desk1, r):
+    # every point repeated on a 1/16 grid: duplicates and exactly tied scores
+    grid = np.round(cq.sample(desk1, 600, seed=2).points * 16) / 16
+    points = np.repeat(grid, 3, axis=0)
+    dup = cq.SamplePool(points=points, seed=2, n=len(points), burn_in=64)
+    for k in (2, 5, 16):
+        assert_matches_reference(dup, k, r, init=k)
+
+
+def test_kept_labels_survive_score_rounding():
+    # Points on the perpendicular bisector of two centers tie in exact
+    # arithmetic, so rounding alone picks the dense winner.  Even with the
+    # other center assigned and a lower bound equal to the winner's exact
+    # distance, the margin must send every such point back to be rescored.
+    rng = np.random.default_rng(11)
+    centers = np.array([[0.1, 0.3], [0.7, 0.9]])
+    t = rng.uniform(-0.5, 0.5, 5000)
+    points = centers.mean(axis=0) + t[:, None] * np.array([0.6, -0.6])
+    dense, d2, _ = qz._dense(points, centers)
+    assert 0 < dense.sum() < len(dense)  # rounding splits the ties both ways
+    diff = points - centers[dense]
+    lower = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    labels = 1 - dense
+    dmin2 = qz._reassign(points, centers, labels, lower, scale=2.0)
+    assert np.array_equal(labels, dense)
+    assert np.array_equal(dmin2, d2)
+
+
+def test_lloyd_reports_cap(desk1):
+    small = cq.sample(desk1, 2000, seed=4)
+    assert cq.lloyd(small, 8, 2.0, init=3, max_iters=2).capped == 1
+    assert cq.lloyd(small, 8, 2.0, init=3).capped == 0
+    best = cq.lloyd_best(small, 8, 2.0, seed=3, restarts=3, max_iters=2)
+    assert best.capped == 3
+
+
+def test_lloyd_best_rejects_zero_restarts(desk1):
+    small = cq.sample(desk1, 100, seed=4)
+    with pytest.raises(ValueError):
+        cq.lloyd_best(small, 2, 2.0, seed=3, restarts=0)
 
 
 def test_antichain_codebook_j0(desk1, consts2, upsilon):
