@@ -174,6 +174,8 @@ def distortion_stats(
     i.i.d. stderr would understate; batch means over contiguous blocks are
     the standard correction.
     """
+    if batches < 1:
+        raise ValueError(f"batches must be >= 1, got {batches}")
     _, dmin2, _ = _nearest(pool.points, cb.points)
     dr = dmin2 ** (r / 2.0)
     value = float(np.mean(dr))
@@ -184,39 +186,47 @@ def distortion_stats(
     return value, stderr
 
 
-def _cell_centers_r(
+def _cell_centers(
     points: np.ndarray, labels: np.ndarray, old: np.ndarray, r: float
 ) -> np.ndarray:
-    """Per-cell center update for r != 2: damped gradient descent from the mean.
+    """Lloyd's center update, every cell at once; empty cells keep their center.
 
-    50 fixed steps with step 0.5 / (local Lipschitz estimate of the gradient);
-    the returned center is the best of {old center, cell mean, descent end}
-    by cell cost, which keeps the Lloyd loop monotone.
+    For r=2 the new center is the cell mean.  Otherwise a damped gradient
+    descent starts from the mean: 50 fixed steps of 0.5 / (local Lipschitz
+    estimate of the gradient), and a cell whose estimate is <= 0 stays where
+    it is from then on.  The returned center is the best of {old center,
+    cell mean, descent end} by cell cost, the first on ties, which keeps the
+    Lloyd loop monotone.  Every per-cell sum is a bincount, so it adds the
+    cell's points in pool order.
     """
     k = len(old)
-    new = old.copy()
-    for c in range(k):
-        members = points[labels == c]
-        if len(members) == 0:
-            continue
-        candidates = [old[c], members.mean(axis=0)]
-        a = members.mean(axis=0).copy()
-        for _ in range(50):
-            diff = a[None, :] - members
-            d = np.maximum(np.hypot(diff[:, 0], diff[:, 1]), 1e-12)
-            w = d ** (r - 2.0)
-            grad = r * (w[:, None] * diff).sum(axis=0)
-            lipschitz = r * max(r - 1.0, 1.0) * w.sum()
-            if lipschitz <= 0.0:
-                break
-            a = a - (0.5 / lipschitz) * grad
-        candidates.append(a)
-        costs = []
-        for cand in candidates:
-            diff = cand[None, :] - members
-            costs.append(float((np.hypot(diff[:, 0], diff[:, 1]) ** r).sum()))
-        new[c] = candidates[int(np.argmin(costs))]
-    return new
+    px, py = points.T.copy()
+
+    def cell_sums(weights: np.ndarray) -> np.ndarray:
+        return np.bincount(labels, weights=weights, minlength=k)
+
+    counts = np.bincount(labels, minlength=k)
+    full = counts > 0
+    mean = old.copy()
+    mean[full, 0] = cell_sums(px)[full] / counts[full]
+    mean[full, 1] = cell_sums(py)[full] / counts[full]
+    if r == 2.0:
+        return mean
+    ax, ay = mean.T.copy()
+    coef = r * max(r - 1.0, 1.0)
+    moving = np.ones(k, dtype=bool)  # an empty cell's estimate is 0
+    for _ in range(50):
+        dx = ax[labels] - px
+        dy = ay[labels] - py
+        w = np.maximum(np.hypot(dx, dy), 1e-12) ** (r - 2.0)
+        lipschitz = coef * cell_sums(w)
+        moving &= ~(lipschitz <= 0.0)
+        step = 0.5 / lipschitz[moving]
+        ax[moving] -= step * (r * cell_sums(w * dx))[moving]
+        ay[moving] -= step * (r * cell_sums(w * dy))[moving]
+    candidates = np.stack((old, mean, np.column_stack((ax, ay))))
+    costs = [cell_sums(np.hypot(c[labels, 0] - px, c[labels, 1] - py) ** r) for c in candidates]
+    return candidates[np.argmin(costs, axis=0), np.arange(k)]
 
 
 def _reassign(
@@ -328,15 +338,8 @@ def lloyd(
             converged = True
             break
         prev = dist
-        old = centers.copy()
-        if r == 2.0:
-            sums_x = np.bincount(labels, weights=points[:, 0], minlength=k)
-            sums_y = np.bincount(labels, weights=points[:, 1], minlength=k)
-            nonzero = counts > 0
-            centers[nonzero, 0] = sums_x[nonzero] / counts[nonzero]
-            centers[nonzero, 1] = sums_y[nonzero] / counts[nonzero]
-        else:
-            centers = _cell_centers_r(points, labels, centers, r)
+        old = centers
+        centers = _cell_centers(points, labels, old, r)
         moved = centers - old
         shift = np.sqrt(np.einsum("ij,ij->i", moved, moved))
         top = int(np.argmax(shift))

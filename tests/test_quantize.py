@@ -133,11 +133,21 @@ def test_distortion_stats(pool):
     assert 0.0 < stderr < value
 
 
+def test_distortion_stats_rejects_no_batches(desk1):
+    small = cq.sample(desk1, 100, seed=4)
+    cb = cq.Codebook(points=np.array([[0.45, 0.6]]), k=1, origin="random")
+    for batches in (0, -3):
+        with pytest.raises(ValueError):
+            cq.distortion_stats(small, cb, 2.0, batches=batches)
+
+
 def test_r_not_two_descent(desk1):
     small = cq.sample(desk1, 2000, seed=21)
-    trace = []
-    res = cq.lloyd(small, 3, 1.0, init=5, trace=trace)
-    assert all(b <= a * (1 + 1e-12) for a, b in zip(trace, trace[1:]))
+    for r in (0.5, 1.0, 3.0):
+        trace = []
+        res = cq.lloyd(small, 3, r, init=5, trace=trace)
+        assert len(trace) == res.iters > 2
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(trace, trace[1:]))
     # for r=1 and k=1 the optimizer beats the plain mean (geometric median)
     res1 = cq.lloyd(small, 1, 1.0, init=5)
     mean_cost = float(
@@ -223,15 +233,103 @@ def reference_lloyd(pool, k, r, init, max_iters=100, tol=1e-9, trace=None):
         if math.isfinite(prev) and prev - dist <= tol * abs(prev):
             break
         prev = dist
-        if r == 2.0:
-            sums_x = np.bincount(labels, weights=points[:, 0], minlength=k)
-            sums_y = np.bincount(labels, weights=points[:, 1], minlength=k)
-            nonzero = counts > 0
-            centers[nonzero, 0] = sums_x[nonzero] / counts[nonzero]
-            centers[nonzero, 1] = sums_y[nonzero] / counts[nonzero]
-        else:
-            centers = qz._cell_centers_r(points, labels, centers, r)
+        centers = qz._cell_centers(points, labels, centers, r)
     return centers, dist, iters, repairs
+
+
+def reference_cell_centers(points, labels, old, r):
+    """The per-cell loop of the r != 2 center update, one cell at a time."""
+    k = len(old)
+    new = old.copy()
+    for c in range(k):
+        members = points[labels == c]
+        if len(members) == 0:
+            continue
+        candidates = [old[c], members.mean(axis=0)]
+        a = members.mean(axis=0).copy()
+        for _ in range(50):
+            diff = a[None, :] - members
+            d = np.maximum(np.hypot(diff[:, 0], diff[:, 1]), 1e-12)
+            w = d ** (r - 2.0)
+            grad = r * (w[:, None] * diff).sum(axis=0)
+            lipschitz = r * max(r - 1.0, 1.0) * w.sum()
+            if lipschitz <= 0.0:
+                break
+            a = a - (0.5 / lipschitz) * grad
+        candidates.append(a)
+        costs = []
+        for cand in candidates:
+            diff = cand[None, :] - members
+            costs.append(float((np.hypot(diff[:, 0], diff[:, 1]) ** r).sum()))
+        new[c] = candidates[int(np.argmin(costs))]
+    return new
+
+
+def cell_costs(points, labels, centers, r):
+    return np.array([
+        float((np.hypot(*(centers[c] - points[labels == c]).T) ** r).sum())
+        for c in range(len(centers))
+    ])
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("k", [1, 3, 16])
+def test_vectorised_centers_match_per_cell_loop(desk1, k, r):
+    base = cq.sample(desk1, 300, seed=k).points
+    points = np.vstack([base, base[:60]])  # 60 duplicated points
+    rng = np.random.default_rng(k)
+    old = points[rng.choice(len(points), size=k, replace=False)] + 0.01
+    labels = _nearest(points, old)[0]
+    if k > 1:
+        labels[labels >= k - 2] = 0
+        labels[5] = k - 2  # a single-member cell next to an empty one
+    new = qz._cell_centers(points, labels, old, r)
+    ref = reference_cell_centers(points, labels, old, r)
+    counts = np.bincount(labels, minlength=k)
+    assert k == 1 or (counts[k - 1], counts[k - 2]) == (0, 1)
+    assert np.array_equal(new[counts == 0], old[counts == 0])
+    assert np.allclose(
+        cell_costs(points, labels, new, r), cell_costs(points, labels, ref, r),
+        rtol=1e-12, atol=0.0,
+    )
+
+    def pick(center, c):  # 0 old center, 1 cell mean, 2 descent end
+        mean = points[labels == c].mean(axis=0) if counts[c] else old[c]
+        for i, cand in enumerate((old[c], mean)):
+            if np.allclose(center, cand, rtol=0.0, atol=1e-12):
+                return i
+        return 2
+
+    picks = [(pick(new[c], c), pick(ref[c], c)) for c in range(k)]
+    assert (2, 2) in picks  # the descent itself is compared, not only the guard
+    for c, (mine, theirs) in enumerate(picks):
+        if mine == theirs:
+            assert np.allclose(new[c], ref[c], rtol=0.0, atol=1e-12)
+
+
+def test_frozen_cell_matches_loop_break():
+    # At r=40 a cell of coincident points has weights (1e-12)^38, which
+    # underflow to 0: its Lipschitz estimate is 0 and the loop breaks at
+    # the mean.  Another cell keeps descending next to it.
+    points = np.array([[0.25, 0.5]] * 4 + [[0.5, 0.5], [0.75, 0.625], [0.625, 0.875]])
+    labels = np.array([0, 0, 0, 0, 1, 1, 1])
+    old = np.array([[0.3, 0.4], [0.6, 0.6]])
+    new = qz._cell_centers(points, labels, old, 40.0)
+    ref = reference_cell_centers(points, labels, old, 40.0)
+    assert np.array_equal(new[0], [0.25, 0.5])
+    assert np.allclose(new, ref, rtol=0.0, atol=1e-12)
+    assert not np.array_equal(new[1], old[1])
+
+
+def test_cost_ties_keep_the_old_center():
+    # At r=1 every point of the segment between two points costs its length;
+    # on a dyadic grid the old center, the mean and the descent end tie exactly.
+    points = np.array([[0.0, 0.0], [0.5, 0.0]])
+    old = np.array([[0.0, 0.0]])
+    labels = np.zeros(2, dtype=np.int64)
+    new = qz._cell_centers(points, labels, old, 1.0)
+    assert np.array_equal(new, old)
+    assert np.array_equal(new, reference_cell_centers(points, labels, old, 1.0))
 
 
 def assert_matches_reference(pool, k, r, init, max_iters=100):
