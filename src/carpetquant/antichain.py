@@ -15,9 +15,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
+import numpy as np
+
+from . import codes
 from .carpet import CarpetSpec, derive_indices
+from .codes import Block, WordCodes
 from .constants import SpectralConstants
 from .product import (
     CylinderPair,
@@ -27,15 +32,14 @@ from .product import (
     log_w_mass,
     product_weights,
     s1_scan,
+    w_mass,
 )
 from .words import (
-    ROOT,
     Word,
-    all_words,
+    ell,
     ell_steps,
     encode_word,
     energy,
-    flatten,
     log_energy,
     log_weight,
     order,
@@ -87,17 +91,29 @@ class BadTau(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Antichain:
-    """A finite maximal antichain of words, with cached log weights."""
+    """A finite maximal antichain of words, held as canonical word codes.
+
+    ``log_w`` holds the log weights in the canonical word order; ``words``
+    and ``log_weights`` decode them on first use.
+    """
 
     j: int
     r: float
     kind: str
-    words: tuple[Word, ...]
-    log_weights: tuple[float, ...] = field(repr=False)
+    codes: WordCodes = field(repr=False)
+    log_w: np.ndarray = field(repr=False)
 
     @property
     def psi(self) -> int:
-        return len(self.words)
+        return len(self.log_w)
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        return self.codes.words
+
+    @cached_property
+    def log_weights(self) -> tuple[float, ...]:
+        return tuple(self.log_w.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,21 +147,34 @@ class GammaFamily:
 
 @dataclass(frozen=True, eq=False)
 class L1L2Result:
-    """Glued level (l1) and its non-overlapping core (l2)."""
+    """Glued level (l1) and its non-overlapping core (l2), as word codes.
+
+    ``l1_codes`` keeps the glued order: the antichain's minimum-order slice,
+    then each anchor's family in anchor order.  ``l2_codes`` is canonical.
+    ``l1_misfit`` is the first glued word whose shape is not a location code.
+    """
 
     j: int
     k1: int
-    lambda_words: tuple[Word, ...]
-    l1: tuple[Word, ...]
-    l2: tuple[Word, ...]
+    l1_codes: WordCodes = field(repr=False)
+    l2_codes: WordCodes = field(repr=False)
     tau_count: int
     gamma_sizes: tuple[int, ...]
     gamma_defects: tuple[float, ...]
     l1_distinct: bool
+    l1_misfit: Word | None
+
+    @property
+    def l1(self) -> tuple[Word, ...]:
+        return self.l1_codes.words
+
+    @property
+    def l2(self) -> tuple[Word, ...]:
+        return self.l2_codes.words
 
     @property
     def phi(self) -> int:
-        return len(self.l2)
+        return len(self.l2_codes)
 
 
 def build_upsilon(
@@ -156,58 +185,51 @@ def build_upsilon(
 ) -> Antichain:
     """Collect every word whose weight first drops below eta_lo^j.
 
-    Depth-first refinement from the root; a word is collected the first time
-    its log weight falls below j*log(eta_lo), and refined while it is still
-    >= the threshold (ties refine).  The result is sorted canonically by
-    (order, cells, row digits).
+    Level by level from the root: a word is collected the first time its log
+    weight falls below j*log(eta_lo), and refined while it is still >= the
+    threshold (ties refine).  Each child's log weight is its parent's plus
+    the step's increments, (lw + up) + step on an upgrade, lw + step
+    otherwise, so every member's value is the same float a depth-first walk
+    adds up.  The result is sorted canonically by (order, cells, row digits).
     """
     if j < 0:
         raise ValueError(f"threshold level must be >= 0, got {j}")
     threshold = j * math.log(consts.eta_lo)
-    rows, upgrades = step_table(spec)
     shift = -consts.r * math.log(spec.m)
-    flat = tuple((jj, lq + shift) for jj, lq in rows)
-    out_words: list[Word] = []
-    out_logw: list[float] = []
-    stack: list[tuple[tuple, tuple, float]] = [(ROOT.a, ROOT.b, 0.0)]
-    while stack:
-        a, b, lw = stack.pop()
-        if lw < threshold:
-            out_words.append(Word(a, b))
-            out_logw.append(lw)
-            if len(out_words) > cap:
-                raise CapExceeded(cap, len(out_words), "weight-threshold antichain")
-            continue
-        if ell_steps(spec, len(a) + len(b)):
-            j_head = b[0]
-            tail = b[1:]
-            for i, up in upgrades[j_head]:
-                a2 = a + ((i, j_head),)
-                for jj, step in flat:
-                    stack.append((a2, tail + (jj,), lw + up + step))
-        else:
-            for jj, step in flat:
-                stack.append((a, b + (jj,), lw + step))
-    paired = sorted(zip(out_words, out_logw), key=lambda t: (order(t[0]), t[0].a, t[0].b))
-    words = tuple(w for w, _ in paired)
-    logw = tuple(lw for _, lw in paired)
-    return Antichain(j=j, r=consts.r, kind="weight-threshold", words=words, log_weights=logw)
+    step = np.array([lq + shift for _, lq in step_table(spec).rows])
+    up = codes.tables(spec).up
+    front, lw = codes.root(), np.zeros(1)
+    found: list[tuple[Block, np.ndarray]] = []
+    count = 0
+    while True:
+        below = lw < threshold
+        if below.any():
+            found.append((front.take(below), lw[below]))
+            count += int(below.sum())
+        front, lw = front.take(~below), lw[~below]
+        # every word still on the front has at least one member below it
+        if count + len(lw) > cap:
+            raise CapExceeded(cap, count + len(lw), "weight-threshold antichain")
+        if not len(lw):
+            break
+        front, parent, cell, row = codes.expand(spec, front)
+        lw = lw[parent] if cell is None else lw[parent] + up[cell]
+        lw = lw + step[row]
+    members, perms = WordCodes.from_blocks(spec, [blk for blk, _ in found])
+    log_w = np.concatenate([w[p] for (_, w), p in zip(found, perms)])
+    return Antichain(j=j, r=consts.r, kind="weight-threshold", codes=members, log_w=log_w)
 
 
 def slices(antichain: Antichain) -> OrderSlices:
     """Split the antichain by word order (a partition; orders run k1..k2)."""
-    if not antichain.words:
+    if not antichain.psi:
         raise ValueError("cannot slice an empty antichain")
-    groups: dict[int, list[Word]] = {}
-    for w in antichain.words:
-        groups.setdefault(order(w), []).append(w)
-    ks = sorted(groups)
-    return OrderSlices(
-        j=antichain.j,
-        k1=ks[0],
-        k2=ks[-1],
-        by_order=tuple((k, tuple(groups[k])) for k in ks),
-    )
+    words, blocks = antichain.words, antichain.codes.blocks
+    by_order, start = [], 0
+    for blk in blocks:
+        by_order.append((blk.k, words[start : start + len(blk.a)]))
+        start += len(blk.a)
+    return OrderSlices(j=antichain.j, k1=blocks[0].k, k2=blocks[-1].k, by_order=tuple(by_order))
 
 
 def s2_family(
@@ -245,30 +267,10 @@ def s2_family(
     return out
 
 
-def build_gamma_tau(
-    spec: CarpetSpec,
-    consts: SpectralConstants,
-    pw: ProductWeights,
-    j: int,
-    k1: int,
-    tau: Word,
-    cap: int = DEFAULT_CAP,
-) -> GammaFamily:
-    """Threshold family of cylinder pairs below the anchor's energy quota.
-
-    The anchor must be an order-k1 word still above the level-j antichain.
-    Pairs grow by aligned steps (offset k1); a pair is collected the first
-    time its W mass drops below epsilon = eta_lo^(j t) / energy(tau).  The
-    collected family W-partitions the whole product space.
-    """
-    validate_word(spec, tau)
-    if order(tau) != k1:
-        raise BadTau(f"anchor must have order {k1}, got {order(tau)}")
-    log_eta = math.log(consts.eta_lo)
-    lw_tau = log_weight(spec, consts.r, tau)
-    if lw_tau < j * log_eta:
-        raise BadTau("anchor sits below the antichain threshold; no quota to fill")
-    log_eps = j * consts.t_r * log_eta - consts.t_r * lw_tau
+def _gamma_pairs(
+    spec: CarpetSpec, pw: ProductWeights, k1: int, log_eps: float, cap: int
+) -> tuple[list[CylinderPair], list[float]]:
+    """Aligned pairs (offset k1) collected the first time their W mass drops below epsilon."""
     pairs: list[CylinderPair] = []
     logs: list[float] = []
     rows = step_table(spec).rows
@@ -292,19 +294,64 @@ def build_gamma_tau(
                 stack.append(
                     (CylinderPair(c.sigma, c.omega + (jj,)), lw + pw.log_q_tilde[jj])
                 )
+    return pairs, logs
+
+
+def build_gamma_tau(
+    spec: CarpetSpec,
+    consts: SpectralConstants,
+    pw: ProductWeights,
+    j: int,
+    k1: int,
+    tau: Word,
+    cap: int = DEFAULT_CAP,
+) -> GammaFamily:
+    """Threshold family of cylinder pairs below the anchor's energy quota.
+
+    The anchor must be an order-k1 word still above the level-j antichain.
+    Pairs grow by aligned steps (offset k1); a pair is collected the first
+    time its W mass drops below epsilon = eta_lo^(j t) / energy(tau).  The
+    collected family W-partitions the whole product space.
+    """
+    validate_word(spec, tau)
+    if order(tau) != k1:
+        raise BadTau(f"anchor must have order {k1}, got {order(tau)}")
+    log_eps = _log_epsilon(spec, consts, j, tau)
+    pairs, logs = _gamma_pairs(spec, pw, k1, log_eps, cap)
     return GammaFamily(tau=tau, log_epsilon=log_eps, pairs=tuple(pairs), log_w=tuple(logs))
 
 
-def _ancestors(spec: CarpetSpec, w: Word, k_min: int) -> Iterator[Word]:
-    """The proper ancestors of w down to order k_min, nearest first."""
-    while order(w) > k_min:
-        w = flatten(spec, w)
-        yield w
+def _log_epsilon(spec: CarpetSpec, consts: SpectralConstants, j: int, tau: Word) -> float:
+    """log of the anchor's quota eta_lo^(j t) / energy(tau); BadTau below the threshold."""
+    log_eta = math.log(consts.eta_lo)
+    lw_tau = log_weight(spec, consts.r, tau)
+    if lw_tau < j * log_eta:
+        raise BadTau("anchor sits below the antichain threshold; no quota to fill")
+    return j * consts.t_r * log_eta - consts.t_r * lw_tau
 
 
 def glue(tau: Word, pair: CylinderPair) -> Word:
     """Concatenate an anchor word with a pair's blocks into one location code."""
     return Word(tau.a + pair.sigma, tau.b + pair.omega)
+
+
+def _member_ancestors(
+    spec: CarpetSpec, blk: Block, member: dict[int, np.ndarray], k_min: int
+) -> tuple[np.ndarray, dict[int, Block]]:
+    """Per word, the lowest order >= k_min at which its ancestor is a member.
+
+    ``member`` maps an order to the sorted keys of the members of that order.
+    Words with no member among their proper ancestors get their own order.
+    Also returns the ancestors of every word, by order.
+    """
+    top = np.full(len(blk.a), blk.k)
+    chain = {blk.k: blk}
+    while blk.k > k_min:
+        blk = codes.flatten(spec, blk)
+        chain[blk.k] = blk
+        if blk.k in member:
+            top[codes.lookup(member[blk.k], codes.keys(spec, blk)) >= 0] = blk.k
+    return top, chain
 
 
 def build_l1_l2(
@@ -316,51 +363,89 @@ def build_l1_l2(
     """Glue per-anchor families into one level, then thin to the core.
 
     l1 = the antichain's own minimum-order slice plus, for every order-k1
-    word still above the threshold, its glued threshold family.  l2 keeps,
-    for each l1 word, the topmost l1 word whose square contains it; the
-    result is pairwise non-overlapping (containment between approximate
-    squares coincides with flattening ancestry).
+    word still above the threshold (in ``all_words`` order), its glued
+    threshold family.  l2 keeps, for each l1 word, the topmost l1 word whose
+    square contains it; the result is pairwise non-overlapping (containment
+    between approximate squares coincides with flattening ancestry).  A
+    family depends on its anchor only through epsilon, so each distinct
+    epsilon is walked once.
     """
-    sl = slices(upsilon)
-    j, k1 = upsilon.j, sl.k1
-    lam = sl.at(k1)
-    lam_set = set(lam)
+    members = upsilon.codes
+    lam = members.blocks[0]
+    j, k1 = upsilon.j, lam.k
     pw = product_weights(spec, consts)
-    l1: list[Word] = list(lam)
-    gamma_sizes: list[int] = []
-    gamma_defects: list[float] = []
-    tau_count = 0
-    for tau in all_words(spec, k1):
-        if tau in lam_set:
-            continue
-        tau_count += 1
-        fam = build_gamma_tau(spec, consts, pw, j, k1, tau, cap=cap)
-        gamma_sizes.append(len(fam.pairs))
-        gamma_defects.append(fam.partition_defect())
-        for pair in fam.pairs:
-            l1.append(glue(tau, pair))
-            if len(l1) > cap:
-                raise CapExceeded(cap, len(l1), "glued level")
-    member = set(l1)
-    l1_distinct = len(member) == len(l1)
-    core: set[Word] = set()
-    for rho in l1:
-        best = rho
-        for w in _ancestors(spec, rho, k1):
-            if w in member:
-                best = w
-        core.add(best)
-    l2 = tuple(sorted(core, key=lambda w: (order(w), w.a, w.b)))
+    g, m = len(codes.tables(spec).cells), spec.m
+
+    taus = codes.all_codes(spec, k1)
+    taus = taus.take(codes.lookup(codes.keys(spec, lam), codes.keys(spec, taus)) < 0)
+    tau_codes = WordCodes(spec, (taus,), (np.arange(len(taus.a)),))
+    log_eps = tau_codes.values(partial(_log_epsilon, spec, consts, j))
+    eps, first, which = np.unique(log_eps, return_index=True, return_inverse=True)
+    families = {}
+    for u in np.argsort(first, kind="stable").tolist():
+        families[u] = _gamma_pairs(spec, pw, k1, float(eps[u]), cap)
+    sizes = np.array([len(families[u][0]) for u in range(len(eps))], dtype=np.int64)[which]
+    defects = [
+        abs(math.fsum(math.exp(lw) for lw in families[u][1]) - 1.0) for u in range(len(eps))
+    ]
+    total = len(lam.a) + int(sizes.sum())
+    if total > cap:
+        raise CapExceeded(cap, total, "glued level")
+    start = len(lam.a) + np.cumsum(sizes) - sizes
+
+    parts: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {
+        k1: [(lam.a, lam.b, np.arange(len(lam.a)))]
+    }
+    misfit = None
+    for u, (pairs, _) in families.items():
+        users = np.flatnonzero(which == u)
+        n_cells = np.array([len(c.sigma) for c in pairs])
+        depth = n_cells + np.array([len(c.omega) for c in pairs])
+        a_sig, b_om = codes.encode(spec, pairs)
+        shape_ok = n_cells + ell(spec, k1) == np.array([ell(spec, k1 + d) for d in depth.tolist()])
+        # families run in order of first use, so the first misfit met is the first in l1
+        if misfit is None and not shape_ok.all():
+            tau = codes.decode(spec, taus.take(users[:1]))[0]
+            misfit = glue(tau, pairs[int(np.argmin(shape_ok))])
+        for d, ns in sorted(set(zip(depth.tolist(), n_cells.tolist()))):
+            sel = np.flatnonzero((depth == d) & (n_cells == ns))
+            dt = codes.code_dtype(spec, k1 + d)
+            a = taus.a[users].astype(dt)[:, None] * g**ns + a_sig[sel].astype(dt)[None, :]
+            b = taus.b[users].astype(dt)[:, None] * m ** (d - ns) + b_om[sel].astype(dt)[None, :]
+            pos = start[users][:, None] + sel[None, :]
+            parts.setdefault(k1 + d, []).append((a.ravel(), b.ravel(), pos.ravel()))
+    blocks, pos = [], []
+    for k in sorted(parts):
+        dt = codes.code_dtype(spec, k)
+        blocks.append(
+            Block(k, *(np.concatenate([p[i].astype(dt) for p in parts[k]]) for i in (0, 1)))
+        )
+        pos.append(np.concatenate([p[2] for p in parts[k]]))
+    l1 = WordCodes(spec, tuple(blocks), tuple(pos))
+
+    member = {blk.k: np.unique(codes.keys(spec, blk)) for blk in l1.blocks}
+    l1_distinct = sum(len(v) for v in member.values()) == len(l1)
+    core: dict[int, list[Block]] = {}
+    for blk in l1.blocks:
+        top, chain = _member_ancestors(spec, blk, member, k1)
+        for k in np.unique(top).tolist():
+            core.setdefault(k, []).append(chain[k].take(top == k))
+    l2_blocks = []
+    for k in sorted(core):
+        dt = codes.code_dtype(spec, k)
+        blk = Block(k, *(np.concatenate([c[i].astype(dt) for c in core[k]]) for i in (1, 2)))
+        l2_blocks.append(blk.take(np.unique(codes.keys(spec, blk), return_index=True)[1]))
+    l2, _ = WordCodes.from_blocks(spec, l2_blocks)
     return L1L2Result(
         j=j,
         k1=k1,
-        lambda_words=lam,
-        l1=tuple(l1),
-        l2=l2,
-        tau_count=tau_count,
-        gamma_sizes=tuple(gamma_sizes),
-        gamma_defects=tuple(gamma_defects),
+        l1_codes=l1,
+        l2_codes=l2,
+        tau_count=len(taus.a),
+        gamma_sizes=tuple(sizes.tolist()),
+        gamma_defects=tuple(defects[u] for u in which.tolist()),
         l1_distinct=l1_distinct,
+        l1_misfit=misfit,
     )
 
 
@@ -435,28 +520,24 @@ class CertificateReport:
 
 _OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
 
+# Anchors of the comparable-descendant check, evenly spaced over each antichain.
+S2_SAMPLES = 20
+
 
 def _check(
-    j: int, name: str, value: float, op: str, bound: float, witness: Word | None = None
+    j: int,
+    name: str,
+    value: float,
+    op: str,
+    bound: float,
+    witness: Callable[[], Word] | None = None,
 ) -> CertificateCheck:
-    """Decide value OP bound; a failed check names its witness word."""
+    """Decide value OP bound; a failed check names its witness word, found only then."""
     ok = bool(_OPS[op](value, bound))
-    text = encode_word(witness) if witness is not None and not ok else ""
+    text = encode_word(witness()) if witness is not None and not ok else ""
     return CertificateCheck(
-        j=j, name=name, value=value, op=op, bound=bound, passed=ok, witness=text
+        j=j, name=name, value=float(value), op=op, bound=bound, passed=ok, witness=text
     )
-
-
-def _extremes(items: Iterable[tuple[float, Word]]) -> tuple[float, Word | None, float, Word | None]:
-    """(min, its word, max, its word) in one pass; ties keep the earliest word."""
-    lo, hi = math.inf, -math.inf
-    lo_w = hi_w = None
-    for value, w in items:
-        if value < lo:
-            lo, lo_w = value, w
-        if value > hi:
-            hi, hi_w = value, w
-    return lo, lo_w, hi, hi_w
 
 
 def _evenly_spaced(items: Sequence, count: int) -> list:
@@ -471,13 +552,14 @@ def certify(
     consts: SpectralConstants,
     j_values: Sequence[int],
     cap: int = DEFAULT_CAP,
-    s2_samples: int = 20,
 ) -> CertificateReport:
     """Run the full certificate suite over the given threshold levels.
 
     Every certified inequality is checked against its explicit constant;
     log-scale comparisons carry a 1e-11 roundoff allowance (a real violation
     is orders of magnitude larger).  Failures name the check and a witness.
+    Each min/max scan runs over whole arrays in word order, and its witness
+    is the first word that attains the extreme.
     """
     j_list = sorted(set(int(j) for j in j_values))
     idx = derive_indices(spec)
@@ -497,59 +579,64 @@ def certify(
         add = checks.append
 
         ups = build_upsilon(spec, consts, j, cap=cap)
-        sl = slices(ups)
+        members = ups.codes
         psi_by_j[j] = ups.psi
+        lws = ups.log_w
+        orders = members.orders()
+
+        def at(i: int, seq: WordCodes = members) -> Callable[[], Word]:
+            return partial(seq.word, int(i))
 
         # weight band: eta^(j+1) <= weight < eta^j for every member
-        lo_b, hi_b = (j + 1) * log_eta, j * log_eta
-        lws = ups.log_weights
-        worst_lo, wit_lo, _, _ = _extremes((lw - lo_b, w) for lw, w in zip(lws, ups.words))
-        _, _, worst_hi, wit_hi = _extremes((lw - hi_b, w) for lw, w in zip(lws, ups.words))
-        add(_check(j, "weight-band-lower", worst_lo, ">=", 0.0, wit_lo))
-        add(_check(j, "weight-band-upper", worst_hi, "<", 0.0, wit_hi))
+        lo_band = lws - (j + 1) * log_eta
+        hi_band = lws - j * log_eta
+        i_lo, i_hi = int(np.argmin(lo_band)), int(np.argmax(hi_band))
+        add(_check(j, "weight-band-lower", lo_band[i_lo], ">=", 0.0, at(i_lo)))
+        add(_check(j, "weight-band-upper", hi_band[i_hi], "<", 0.0, at(i_hi)))
 
         # the members tile the carpet: cylinder masses sum to 1
-        mass = math.fsum(
-            math.exp(lw + order(w) * consts.r * log_m) for lw, w in zip(lws, ups.words)
-        )
+        mass = math.fsum(map(math.exp, (lws + orders * consts.r * log_m).tolist()))
         add(_check(j, "mass-partition", abs(mass - 1.0), "<=", MASS_TOL))
 
         # total energy and member count against the overlap constant
-        sum_energy = math.fsum(math.exp(t * lw) for lw in lws)
+        sum_energy = math.fsum(map(math.exp, (t * lws).tolist()))
         add(_check(j, "energy-sum", sum_energy, "<=", consts.H1))
         add(_check(j, "count-bound", ups.psi * math.exp((j + 1) * t * log_eta), "<=", consts.H1))
 
         # overlap family: W-mass ratio and order gap at every anchor
-        scan = s1_scan(spec, pw, ups.words, sl.k1)
-        _, _, s1_max_ratio, s1_wit = _extremes(
-            (w_sum / math.exp(log_w_mass(pw, embed(anchor))), anchor)
-            for anchor, (w_sum, _) in scan.items()
-        )
-        s1_max_gap = max(gap for _, gap in scan.values())
+        scan = s1_scan(spec, pw, members)
+        ratio = scan.w_sum / members.values(lambda w: w_mass(pw, embed(w)))[scan.anchor]
+        i_s1 = int(np.argmax(ratio))
+        s1_max_ratio = float(ratio[i_s1])
+        s1_max_gap = int(scan.gap.max())
+        s1_wit = at(scan.anchor[i_s1])
         add(_check(j, "s1-mass", s1_max_ratio, "<=", consts.H1 * (1.0 + LOG_SLACK), s1_wit))
         add(_check(j, "s1-gap", float(s1_max_gap), "<=", float(consts.H1)))
 
         # embedding sandwich for members of aligned order
-        sandwich_checked = sum(order(w) >= k_aligned for w in ups.words)
+        aligned = np.flatnonzero(orders >= k_aligned)
+        sandwich_checked = len(aligned)
         if sandwich_checked:
-            sw_min, sw_wit_lo, sw_max, sw_wit_hi = _extremes(
-                (log_w_mass(pw, embed(w)) - t * lw, w)
-                for lw, w in zip(lws, ups.words)
-                if order(w) >= k_aligned
-            )
-            add(_check(j, "embed-sandwich-lower", sw_min, ">=", -LOG_SLACK, sw_wit_lo))
-            add(_check(j, "embed-sandwich-upper", sw_max, "<=", log_pq + LOG_SLACK, sw_wit_hi))
+            lwm = members.values(lambda w: log_w_mass(pw, embed(w)))
+            gap = lwm[aligned] - t * lws[aligned]
+            i_lo, i_hi = int(np.argmin(gap)), int(np.argmax(gap))
+            sw_lo, sw_hi = at(aligned[i_lo]), at(aligned[i_hi])
+            add(_check(j, "embed-sandwich-lower", gap[i_lo], ">=", -LOG_SLACK, sw_lo))
+            add(_check(j, "embed-sandwich-upper", gap[i_hi], "<=", log_pq + LOG_SLACK, sw_hi))
 
         # comparable-descendant family at sampled anchors
-        sampled = _evenly_spaced(ups.words, s2_samples)
-        s2_stats: list[tuple[float, Word, int]] = []
+        sampled = [members.word(i) for i in _evenly_spaced(range(ups.psi), S2_SAMPLES)]
+        s2_ratios: list[float] = []
+        s2_gaps: list[int] = []
         for sigma in sampled:
             fam = s2_family(spec, consts, sigma)
-            ratio = math.fsum(energy(spec, consts, w) for w in fam) / energy(spec, consts, sigma)
-            s2_stats.append((ratio, sigma, max(order(w) for w in fam) - order(sigma)))
-        _, _, s2_max_ratio, s2_wit = _extremes((ratio, sigma) for ratio, sigma, _ in s2_stats)
-        s2_max_gap = max(gap for _, _, gap in s2_stats)
-        add(_check(j, "s2-mass", s2_max_ratio, "<=", consts.H3 * (1.0 + LOG_SLACK), s2_wit))
+            e_fam = math.fsum(energy(spec, consts, w) for w in fam)
+            s2_ratios.append(e_fam / energy(spec, consts, sigma))
+            s2_gaps.append(max(order(w) for w in fam) - order(sigma))
+        i_s2 = max(range(len(sampled)), key=s2_ratios.__getitem__)
+        s2_max_ratio, s2_max_gap = s2_ratios[i_s2], max(s2_gaps)
+        s2_wit = sampled[i_s2]
+        add(_check(j, "s2-mass", s2_max_ratio, "<=", consts.H3 * (1.0 + LOG_SLACK), lambda: s2_wit))
         add(_check(j, "s2-gap", float(s2_max_gap), "<=", float(consts.M)))
 
         # multi-level construction
@@ -557,35 +644,30 @@ def certify(
         phi_by_j[j] = res.phi
         if res.gamma_defects:
             add(_check(j, "gamma-partition", max(res.gamma_defects), "<=", MASS_TOL))
-        bad_shape = None
-        for w in res.l1:
-            try:
-                validate_word(spec, w)
-            except ValueError:
-                bad_shape = w
-                break
-        shape_ok = res.l1_distinct and bad_shape is None
-        add(_check(j, "l1-shape", 0.0 if shape_ok else 1.0, "<=", 0.0, bad_shape))
+        shape_ok = res.l1_distinct and res.l1_misfit is None
+        misfit = res.l1_misfit
+        add(_check(j, "l1-shape", 0.0 if shape_ok else 1.0, "<=", 0.0, misfit and (lambda: misfit)))
 
         # energy band of the glued level
         e_lo = math.log(consts.Q) - 2.0 * math.log(consts.P) + (j + 1) * t * log_eta
         e_hi = log_pq + j * t * log_eta
-        l1_lo, l1_wit_lo, l1_hi, l1_wit_hi = _extremes(
-            (log_energy(spec, consts, w), w) for w in res.l1
-        )
-        add(_check(j, "l1-energy-lower", l1_lo - e_lo, ">=", -LOG_SLACK, l1_wit_lo))
-        add(_check(j, "l1-energy-upper", l1_hi - e_hi, "<", LOG_SLACK, l1_wit_hi))
+        l1_energy = res.l1_codes.values(lambda w: log_energy(spec, consts, w))
+        i_lo, i_hi = int(np.argmin(l1_energy)), int(np.argmax(l1_energy))
+        l1_wit_lo, l1_wit_hi = at(i_lo, res.l1_codes), at(i_hi, res.l1_codes)
+        add(_check(j, "l1-energy-lower", l1_energy[i_lo] - e_lo, ">=", -LOG_SLACK, l1_wit_lo))
+        add(_check(j, "l1-energy-upper", l1_energy[i_hi] - e_hi, "<", LOG_SLACK, l1_wit_hi))
 
         # the core is an antichain: no member is an ancestor of another
-        core_set = set(res.l2)
-        core_wit = next(
-            (rho for rho in res.l2 if any(w in core_set for w in _ancestors(spec, rho, res.k1))),
-            None,
+        core = res.l2_codes
+        core_keys = {blk.k: codes.keys(spec, blk) for blk in core.blocks}
+        nested = np.concatenate(
+            [_member_ancestors(spec, blk, core_keys, res.k1)[0] < blk.k for blk in core.blocks]
         )
+        core_wit = at(np.argmax(nested), core) if nested.any() else None
         add(_check(j, "l2-antichain", 0.0 if core_wit is None else 1.0, "<=", 0.0, core_wit))
 
         # core energy bracket and count band
-        l2_energy = math.fsum(energy(spec, consts, w) for w in res.l2)
+        l2_energy = math.fsum(core.values(lambda w: energy(spec, consts, w)).tolist())
         s10_bound = consts.Q / (consts.H3 * consts.P)
         add(_check(j, "l2-energy-lower", l2_energy, ">=", s10_bound * (1.0 - LOG_SLACK)))
         add(_check(j, "l2-energy-upper", l2_energy, "<=", 1.0 + LOG_SLACK))
@@ -598,8 +680,8 @@ def certify(
             JCertificate(
                 j=j,
                 psi=ups.psi,
-                k1=sl.k1,
-                k2=sl.k2,
+                k1=members.blocks[0].k,
+                k2=members.blocks[-1].k,
                 sum_energy=sum_energy,
                 s1_max_ratio=s1_max_ratio,
                 s1_max_gap=s1_max_gap,
@@ -608,7 +690,7 @@ def certify(
                 s2_samples=len(sampled),
                 sandwich_checked=sandwich_checked,
                 phi=res.phi,
-                l1_count=len(res.l1),
+                l1_count=len(res.l1_codes),
                 l2_energy=l2_energy,
                 checks=tuple(checks),
             )

@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
+import numpy as np
+
+from . import codes
 from .carpet import CarpetSpec
+from .codes import WordCodes
 from .constants import SpectralConstants
-from .words import Word, ell, ell_steps, log_tables, order, step_table
+from .words import Word, ell, ell_steps, log_tables, step_table
 
 __all__ = [
     "EmptyPair",
@@ -34,6 +38,7 @@ __all__ = [
     "gamma_h",
     "paired_flatten",
     "s1_family",
+    "S1Scan",
     "s1_scan",
 ]
 
@@ -195,33 +200,44 @@ def s1_family(
     ]
 
 
-def s1_scan(
-    spec: CarpetSpec,
-    pw: ProductWeights,
-    words: Iterable[Word],
-    k_min: int,
-) -> dict[Word, tuple[float, int]]:
+class S1Scan(NamedTuple):
+    """Per-anchor aggregates of the overlap family, anchors in the order a
+    word-by-word scan first meets them (word order, then anchor order)."""
+
+    anchor: np.ndarray  # index of the anchor among the members
+    w_sum: np.ndarray  # W masses of the family, added in word order
+    gap: np.ndarray  # largest order gap within the family
+
+
+def s1_scan(spec: CarpetSpec, pw: ProductWeights, members: WordCodes) -> S1Scan:
     """Per-anchor aggregate of the overlap family over a whole antichain.
 
-    For each word tau, every aligned prefix of tau that is itself a member is
-    an anchor whose family contains tau.  Returns anchor -> (sum of member W
-    masses, max order gap).  Equivalent to running s1_family at every anchor,
-    in O(total words * max order) instead of O(words^2).
+    ``members`` must be canonical.  For each word tau, every aligned prefix
+    of tau that is itself a member is an anchor whose family contains tau;
+    each member is its own anchor.  Equivalent to running s1_family at every
+    anchor, with one prefix lookup per (anchor order, word order) pair of
+    code blocks instead of O(words^2) comparisons.
     """
-    word_list = list(words)
-    member = set(word_list)
-    acc: dict[Word, tuple[float, int]] = {}
-    for tau in word_list:
-        w_tau = w_mass(pw, embed(tau))
-        kt = order(tau)
-        for k in range(k_min, kt + 1):
-            la = ell(spec, k)
-            lb = k - la
-            if la > len(tau.a) or lb > len(tau.b):
+    w = members.values(lambda word: w_mass(pw, embed(word)))
+    taus, anchors, gaps = [], [], []
+    for blk_k, pos_k in zip(members.blocks, members.pos):
+        sorted_keys = codes.keys(spec, blk_k)
+        for blk_t, pos_t in zip(members.blocks, members.pos):
+            pre = codes.prefix(spec, blk_t, blk_k.k) if blk_t.k >= blk_k.k else None
+            if pre is None:
                 continue
-            anchor = Word(tau.a[:la], tau.b[:lb])
-            if anchor not in member:
-                continue
-            total, gap = acc.get(anchor, (0.0, 0))
-            acc[anchor] = (total + w_tau, max(gap, kt - k))
-    return acc
+            hit = codes.lookup(sorted_keys, codes.keys(spec, pre))
+            found = hit >= 0
+            taus.append(pos_t[found])
+            anchors.append(pos_k[hit[found]])
+            gaps.append(np.full(len(taus[-1]), blk_t.k - blk_k.k))
+    tau, anchor, gap = (np.concatenate(x) for x in (taus, anchors, gaps))
+    n = len(members)
+    # bincount adds each anchor's terms one by one in word order, as a scan would
+    w_sum = np.bincount(anchor, weights=w[tau], minlength=n)
+    max_gap = np.zeros(n, dtype=np.int64)
+    np.maximum.at(max_gap, anchor, gap)
+    first = np.full(n, n)
+    np.minimum.at(first, anchor, tau)
+    met = np.lexsort((members.orders(), first))
+    return S1Scan(anchor=met, w_sum=w_sum[met], gap=max_gap[met])

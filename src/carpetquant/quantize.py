@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 from .antichain import Antichain
 from .carpet import CarpetSpec
 from .constants import SpectralConstants
-from .words import rect
+from .codes import centers
 
 __all__ = [
     "BadK",
@@ -381,10 +381,14 @@ def lloyd_best(
 
 def antichain_codebook(spec: CarpetSpec, antichain: Antichain) -> Codebook:
     """One point per antichain word: the center of its approximate square."""
-    centers = np.array([rect(spec, w).center() for w in antichain.words], dtype=np.float64)
-    return Codebook(points=centers, k=len(antichain.words), origin=f"antichain({antichain.j})")
+    points = [xy for blk in antichain.codes.blocks for xy in centers(spec, blk)]
+    return Codebook(
+        points=np.array(points, dtype=np.float64).reshape(-1, 2),
+        k=antichain.psi,
+        origin=f"antichain({antichain.j})",
+    )
 
 
 def theoretical_proxy(spec: CarpetSpec, consts: SpectralConstants, antichain: Antichain) -> float:
     """Sum of the antichain's weights: the model-side stand-in for e_psi^r."""
-    return math.fsum(math.exp(lw) for lw in antichain.log_weights)
+    return math.fsum(map(math.exp, antichain.log_w.tolist()))

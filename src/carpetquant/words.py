@@ -329,10 +329,6 @@ def decode_word(text: str) -> Word:
 
 def all_words(spec: CarpetSpec, k: int) -> Iterator[Word]:
     """Every word of order k, in deterministic order (breadth-first refinement)."""
-    level: list[Word] = [ROOT]
-    for _ in range(k):
-        nxt: list[Word] = []
-        for w in level:
-            nxt.extend(children(spec, w))
-        level = nxt
-    return iter(level)
+    from .codes import all_codes, decode  # codes builds on this module
+
+    return iter(decode(spec, all_codes(spec, k)))

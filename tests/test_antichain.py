@@ -232,3 +232,35 @@ def test_certificate_accessor(desk1, consts2):
     assert chk.passed and chk.value == pytest.approx(cert.sum_energy)
     with pytest.raises(KeyError):
         cert.check("no-such-check")
+
+
+def test_certify_names_a_misshapen_glued_word(desk1, consts2, monkeypatch):
+    walk = cq.antichain._gamma_pairs
+
+    def misshape(spec, pw, k1, log_eps, cap):
+        # a pair with row digits trades its last one for a cell: same depth, wrong shape
+        pairs, logs = walk(spec, pw, k1, log_eps, cap)
+        for i, c in enumerate(pairs):
+            if c.omega:
+                pairs[i] = cq.CylinderPair(c.sigma + ((0, 0),), c.omega[:-1])
+                break
+        return pairs, logs
+
+    monkeypatch.setattr(cq.antichain, "_gamma_pairs", misshape)
+    j = 5  # the first level whose families hold pairs with row digits
+    ups = cq.build_upsilon(desk1, consts2, j)
+    sl = cq.slices(ups)
+    lam = set(sl.at(sl.k1))
+    pw = cq.product_weights(desk1, consts2)
+    glued = (
+        cq.glue(tau, pair)
+        for tau in cq.all_words(desk1, sl.k1)
+        if tau not in lam
+        for pair in misshape(
+            desk1, pw, sl.k1, cq.antichain._log_epsilon(desk1, consts2, j, tau), 10**6
+        )[0]
+    )
+    first_bad = next(w for w in glued if len(w.a) != cq.ell(desk1, cq.order(w)))
+    shape = cq.certify(desk1, consts2, [j]).certificates[0].check("l1-shape")
+    assert not shape.passed
+    assert shape.witness == cq.encode_word(first_bad)

@@ -1,6 +1,11 @@
 import filecmp
 import functools
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +210,41 @@ def test_bad_argument_exits_2(desk1_path, capsys, argv):
     assert cli.main(argv[:1] + ["--config", desk1_path] + argv[1:]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+# SHA-256 of `certify --j 0:6` stdout, recorded from the word-by-word
+# implementation before certify ran on integer word codes.  The printed floats
+# carry the last-bit rounding of this platform's libm (math.exp, math.log), so
+# the digests hold only on a libm that rounds as the recording one did.
+CERTIFY_DIGESTS = {
+    ("desk1", "1"): "84297bd2ebef874fc2f15a70da16c2c62b7b0032c66b755c47155f1f3eedd52a",
+    ("desk1", "2"): "2acd4d2bd752951d0fbe286a8ad1a9ecb5a71e9176f50bb572a8ac44cad05c9c",
+    ("tie", "1"): "6c5914f46275d9258a32835628703706d61d290d37ca62bdba0b1cb95c6e945a",
+}
+TIE = {"m": 2, "n": 4, "entries": [[0, 0, "1/2"], [1, 1, "1/4"], [3, 1, "1/4"]]}
+
+
+@pytest.mark.parametrize("carpet, r", sorted(CERTIFY_DIGESTS))
+def test_certify_stdout_is_byte_identical(desk1_path, tmp_path, capsys, carpet, r):
+    path = desk1_path
+    if carpet == "tie":
+        path = str(tmp_path / "tie.json")
+        (tmp_path / "tie.json").write_text(json.dumps(TIE))
+    cli.main(["certify", "--config", path, "--r", r, "--j", "0:6"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGESTS[(carpet, r)]
+
+
+def test_python_dash_m_runs_the_cli(desk1_path):
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "carpetquant", "validate", "--config", desk1_path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ok: 2x3 grid, 3 cells")

@@ -1,0 +1,215 @@
+"""Integer word codes against word-by-word reference walks, bit for bit."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import carpetquant as cq
+from carpetquant import Word, codes
+from carpetquant.runner import _certificate_rows
+
+TIE = {"m": 2, "n": 4, "entries": [[0, 0, "1/2"], [1, 1, "1/4"], [3, 1, "1/4"]]}
+
+
+def reference_build_upsilon(spec, consts, j, cap=cq.antichain.DEFAULT_CAP):
+    """Depth-first threshold walk over word tuples: (words, log weights) sorted canonically."""
+    threshold = j * math.log(consts.eta_lo)
+    rows, upgrades = cq.words.step_table(spec)
+    shift = -consts.r * math.log(spec.m)
+    flat = tuple((jj, lq + shift) for jj, lq in rows)
+    out_words, out_logw = [], []
+    stack = [((), (), 0.0)]
+    while stack:
+        a, b, lw = stack.pop()
+        if lw < threshold:
+            out_words.append(Word(a, b))
+            out_logw.append(lw)
+            if len(out_words) > cap:
+                raise cq.CapExceeded(cap, len(out_words), "weight-threshold antichain")
+            continue
+        if cq.words.ell_steps(spec, len(a) + len(b)):
+            j_head, tail = b[0], b[1:]
+            for i, up in upgrades[j_head]:
+                a2 = a + ((i, j_head),)
+                for jj, step in flat:
+                    stack.append((a2, tail + (jj,), lw + up + step))
+        else:
+            for jj, step in flat:
+                stack.append((a, b + (jj,), lw + step))
+    paired = sorted(zip(out_words, out_logw), key=lambda t: (cq.order(t[0]), t[0].a, t[0].b))
+    return tuple(w for w, _ in paired), tuple(lw for _, lw in paired)
+
+
+def reference_all_words(spec, k):
+    level = [cq.ROOT]
+    for _ in range(k):
+        level = [c for w in level for c in cq.children(spec, w)]
+    return level
+
+
+def reference_l1_l2(spec, consts, ups, cap=cq.antichain.DEFAULT_CAP):
+    """Glued level and core built word by word: (l1, l2, gamma sizes)."""
+    sl = cq.slices(ups)
+    k1 = sl.k1
+    lam = sl.at(k1)
+    pw = cq.product_weights(spec, consts)
+    l1, sizes = list(lam), []
+    for tau in reference_all_words(spec, k1):
+        if tau in lam:
+            continue
+        fam = cq.build_gamma_tau(spec, consts, pw, ups.j, k1, tau, cap=cap)
+        sizes.append(len(fam.pairs))
+        l1.extend(cq.glue(tau, pair) for pair in fam.pairs)
+        if len(l1) > cap:
+            raise cq.CapExceeded(cap, len(l1), "glued level")
+    member = set(l1)
+    core = set()
+    for rho in l1:
+        best = w = rho
+        while cq.order(w) > k1:
+            w = cq.flatten(spec, w)
+            if w in member:
+                best = w
+        core.add(best)
+    l2 = tuple(sorted(core, key=lambda w: (cq.order(w), w.a, w.b)))
+    return tuple(l1), l2, tuple(sizes)
+
+
+def outcome(fn, *args, **kwargs):
+    """The call's value, or the type of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (cq.CapExceeded, cq.BadTau) as exc:
+        return type(exc)
+
+
+@st.composite
+def rational_carpets(draw):
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(m + 1, 6))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+            min_size=2,
+            max_size=7,
+            unique=True,
+        )
+    )
+    assume(len({i for i, _ in cells}) >= 2 and len({j for _, j in cells}) >= 2)
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(cells), max_size=len(cells)))
+    total = sum(weights)
+    return cq.make_spec(m, n, [(i, j, f"{w}/{total}") for (i, j), w in zip(cells, weights)])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=rational_carpets(), r=st.sampled_from([1.0, 2.0]), j=st.integers(0, 4))
+def test_frontier_matches_reference_walks(spec, r, j):
+    consts = cq.constants(spec, r)
+    cap = 3_000
+    want = outcome(reference_build_upsilon, spec, consts, j, cap)
+    got = outcome(cq.build_upsilon, spec, consts, j, cap)
+    if want is cq.CapExceeded:
+        assert got is cq.CapExceeded
+        return
+    assert (got.words, got.log_weights) == want
+
+    want = outcome(reference_l1_l2, spec, consts, got, cap)
+    res = outcome(cq.build_l1_l2, spec, consts, got, cap)
+    if isinstance(want, type):
+        assert res is want
+        return
+    assert (res.l1, res.l2, res.gamma_sizes) == want
+    assert res.tau_count == len(want[2])
+
+
+def test_upsilon_cap_error_carries_a_lower_bound(desk1, consts2):
+    with pytest.raises(cq.CapExceeded) as err:
+        cq.build_upsilon(desk1, consts2, 5, cap=300)
+    assert 300 < err.value.at_least <= cq.build_upsilon(desk1, consts2, 5).psi
+
+
+def test_code_steps_match_word_steps(desk1):
+    spec_b = cq.load_config(TIE)
+    for spec in (desk1, spec_b):
+        for k in range(0, 8):
+            blk = codes.all_codes(spec, k)
+            words = reference_all_words(spec, k)
+            assert codes.decode(spec, blk) == words
+            a, b = codes.encode(spec, words)
+            assert (a.tolist(), b.tolist()) == (blk.a.tolist(), blk.b.tolist())
+            # keys increase exactly in the canonical order
+            by_key = [words[i] for i in np.argsort(codes.keys(spec, blk), kind="stable")]
+            assert by_key == sorted(words)
+            if k:
+                assert codes.decode(spec, codes.flatten(spec, blk)) == [
+                    cq.flatten(spec, w) for w in words
+                ]
+
+
+def test_permuted_digits_keep_count_keyed_values(desk1, consts2, pw2):
+    # fsum is correctly rounded, so these values depend only on digit counts
+    rng = random.Random(8_311)
+    cells = [(i, j) for i, j, _ in desk1.entries]
+    for _ in range(20):
+        k = rng.randrange(30, 80)
+        la = cq.ell(desk1, k)
+        w = Word(
+            tuple(rng.choice(cells) for _ in range(la)),
+            tuple(rng.choice((0, 1)) for _ in range(k - la)),
+        )
+        a, b = list(w.a), list(w.b)
+        rng.shuffle(a)
+        rng.shuffle(b)
+        v = Word(tuple(a), tuple(b))
+        assert cq.log_weight(desk1, 2.0, v) == cq.log_weight(desk1, 2.0, w)
+        assert cq.log_energy(desk1, consts2, v) == cq.log_energy(desk1, consts2, w)
+        assert cq.log_w_mass(pw2, cq.embed(v)) == cq.log_w_mass(pw2, cq.embed(w))
+
+
+def snapshot(spec, consts, js):
+    out = []
+    for j in js:
+        ups = cq.build_upsilon(spec, consts, j)
+        pw = cq.product_weights(spec, consts)
+        scan = cq.s1_scan(spec, pw, ups.codes)
+        res = cq.build_l1_l2(spec, consts, ups)
+        points = cq.antichain_codebook(spec, ups).points
+        out.append(
+            (
+                ups.words,
+                ups.log_weights,
+                scan.anchor.tolist(),
+                scan.w_sum.tolist(),
+                scan.gap.tolist(),
+                res.l1,
+                res.l2,
+                points.tobytes(),
+            )
+        )
+    rows = _certificate_rows(consts.r, cq.certify(spec, consts, js))
+    return out, rows
+
+
+@pytest.mark.parametrize("config, r", [("desk1", 2.0), ("tie", 1.0)])
+def test_object_codes_match_int64_codes(desk1, monkeypatch, config, r):
+    spec = desk1 if config == "desk1" else cq.load_config(TIE)
+    consts = cq.constants(spec, r)
+    js = range(0, 5)
+    want = snapshot(spec, consts, js)
+    # a tiny limit puts every order past the first few into dtype=object blocks
+    monkeypatch.setattr(codes, "INT_LIMIT", 40)
+    ups = cq.build_upsilon(spec, consts, 4)
+    dtypes = {blk.a.dtype for blk in ups.codes.blocks}
+    assert dtypes == {np.dtype(object)}
+    assert codes.code_dtype(spec, 1) is np.int64
+    assert snapshot(spec, consts, js) == want
+
+
+def test_codebook_centers_match_rect(desk1, upsilon):
+    ups = upsilon(4)
+    points = cq.antichain_codebook(desk1, ups).points
+    assert points.tolist() == [list(cq.rect(desk1, w).center()) for w in ups.words]

@@ -115,23 +115,63 @@ def test_pair_step_sandwich(desk1, consts2, pw2):
         level = nxt
 
 
+def reference_s1_scan(spec, pw, words, k_min):
+    """The word-by-word scan: anchor -> (W masses added in word order, max order gap)."""
+    member = set(words)
+    acc = {}
+    for tau in words:
+        w_tau = cq.w_mass(pw, cq.embed(tau))
+        kt = cq.order(tau)
+        for k in range(k_min, kt + 1):
+            la = cq.ell(spec, k)
+            lb = k - la
+            if lb > len(tau.b):
+                continue
+            anchor = Word(tau.a[:la], tau.b[:lb])
+            if anchor in member:
+                total, gap = acc.get(anchor, (0.0, 0))
+                acc[anchor] = (total + w_tau, max(gap, kt - k))
+    return acc
+
+
+def scan_items(ups, scan):
+    return [
+        (ups.words[i], (w_sum, gap))
+        for i, w_sum, gap in zip(scan.anchor.tolist(), scan.w_sum.tolist(), scan.gap.tolist())
+    ]
+
+
 def test_s1_family_matches_scan(desk1, consts2, pw2, upsilon):
     ups = upsilon(3)
-    sl = cq.slices(ups)
-    scan = cq.s1_scan(desk1, pw2, ups.words, sl.k1)
-    assert set(scan) <= set(ups.words)
+    scan = cq.s1_scan(desk1, pw2, ups.codes)
+    # every member anchors its own family, once
+    assert sorted(scan.anchor.tolist()) == list(range(ups.psi))
     # brute force at every anchor must reproduce the scan's aggregates
-    for anchor, (w_sum, gap) in scan.items():
+    for anchor, (w_sum, gap) in scan_items(ups, scan):
         fam = cq.s1_family(desk1, consts2, ups.words, anchor)
         brute = math.fsum(cq.w_mass(pw2, cq.embed(t)) for t in fam)
         assert brute == pytest.approx(w_sum, rel=1e-12)
         assert max(cq.order(t) - cq.order(anchor) for t in fam) == gap
 
 
+TIE = {"m": 2, "n": 4, "entries": [[0, 0, "1/2"], [1, 1, "1/4"], [3, 1, "1/4"]]}
+
+
+@pytest.mark.parametrize("config, r", [("desk1", 1.0), ("desk1", 2.0), ("tie", 1.0)])
+def test_s1_scan_matches_word_walk(desk1, config, r):
+    spec = desk1 if config == "desk1" else cq.load_config(TIE)
+    consts = cq.constants(spec, r)
+    pw = cq.product_weights(spec, consts)
+    for j in range(0, 6):
+        ups = cq.build_upsilon(spec, consts, j)
+        want = reference_s1_scan(spec, pw, ups.words, cq.slices(ups).k1)
+        # same anchors in the same first-met order, bit-equal sums
+        assert scan_items(ups, cq.s1_scan(spec, pw, ups.codes)) == list(want.items())
+
+
 def test_s1_bounds_spot_check(desk1, consts2, pw2, upsilon):
     ups = upsilon(2)
-    sl = cq.slices(ups)
-    scan = cq.s1_scan(desk1, pw2, ups.words, sl.k1)
-    for anchor, (w_sum, gap) in scan.items():
+    scan = cq.s1_scan(desk1, pw2, ups.codes)
+    for anchor, (w_sum, gap) in scan_items(ups, scan):
         assert w_sum <= consts2.H1 * cq.w_mass(pw2, cq.embed(anchor)) * (1 + 1e-11)
         assert gap <= consts2.H1
