@@ -107,18 +107,26 @@ def sample(spec: CarpetSpec, n: int, seed: int, burn_in: int = 64) -> SamplePool
     return SamplePool(points=points, seed=seed, n=n, burn_in=burn_in)
 
 
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """Row-wise x*x + y*y of an (n, 2) array: einsum("ij,ij->i") without its overhead."""
+    x, y = v[:, 0], v[:, 1]
+    return x * x + y * y
+
+
 def _dense(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, ...]:
     """Dense scoring: labels, exact squared distances, second-nearest squared distances.
 
     The argmin runs on |c|^2 - 2 p.c (the per-point |p|^2 term cannot change
     the winner), which is one BLAS matmul per chunk, scored in place; ties go
     to the lowest index.  The reported distance is recomputed exactly for the
-    chosen center only.  The second-nearest distance is |p|^2 plus the best
-    score left once the winner is masked (inf when k = 1), so it carries the
-    score's rounding.
+    chosen center only, gathered with take.  The second-nearest distance is
+    |p|^2 plus the best score left once the winner is masked to inf (inf when
+    k = 1), so it carries the score's rounding.  That score is found by a
+    second argmin and gathered by its flat index: a minimum is one of the row's
+    elements, so it is the float a row-wise min would return.
     """
     k = len(centers)
-    c2 = np.einsum("ij,ij->i", centers, centers)
+    c2 = _sq_norms(centers)
     n = len(points)
     labels = np.empty(n, dtype=np.int64)
     dmin2 = np.empty(n, dtype=np.float64)
@@ -130,11 +138,11 @@ def _dense(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, ...]:
         scores *= -2.0
         scores += c2
         lab = np.argmin(scores, axis=1)
-        diff = block - centers[lab]
         labels[start : start + step] = lab
-        dmin2[start : start + step] = np.einsum("ij,ij->i", diff, diff)
-        scores[np.arange(len(block)), lab] = np.inf
-        rest = scores.min(axis=1) + np.einsum("ij,ij->i", block, block)
+        dmin2[start : start + step] = _sq_norms(block - centers.take(lab, axis=0))
+        rows = np.arange(0, scores.size, k)  # flat index of each row's first score
+        np.put(scores, rows + lab, np.inf)
+        rest = scores.take(rows + np.argmin(scores, axis=1)) + _sq_norms(block)
         second2[start : start + step] = np.maximum(rest, 0.0)
     return labels, dmin2, second2
 
@@ -159,8 +167,14 @@ def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, ...]:
     return labels, first * first, second * second
 
 
+def _check_r(r: float) -> None:
+    if not 0 < r < math.inf:
+        raise ValueError(f"order exponent r must be positive and finite, got {r}")
+
+
 def distortion(pool: SamplePool, cb: Codebook, r: float) -> float:
     """(1/n) sum of r-th powers of nearest-codeword distances over the pool."""
+    _check_r(r)
     _, dmin2, _ = _nearest(pool.points, cb.points)
     return float(np.mean(dmin2 ** (r / 2.0)))
 
@@ -174,6 +188,7 @@ def distortion_stats(
     i.i.d. stderr would understate; batch means over contiguous blocks are
     the standard correction.
     """
+    _check_r(r)
     if batches < 1:
         raise ValueError(f"batches must be >= 1, got {batches}")
     _, dmin2, _ = _nearest(pool.points, cb.points)
@@ -246,8 +261,7 @@ def _reassign(
     through _nearest.  Updates labels and lower in place; returns the squared
     distances to the assigned centers.
     """
-    diff = points - centers[labels]
-    dmin2 = np.einsum("ij,ij->i", diff, diff)
+    dmin2 = _sq_norms(points - centers.take(labels, axis=0))
     slack = _KEEP_MARGIN * scale * scale
     half = 0.5 * cKDTree(centers).query(centers, k=2)[0][:, 1]
     # (2s - d)^2 - d^2 = 4s(s - d) > slack  <=>  d < s - slack / (4s)
@@ -255,10 +269,10 @@ def _reassign(
         reach = half - slack / (4.0 * half)
     by_center = np.where(reach > 0.0, reach * reach, 0.0)
     lo = np.maximum(lower, 0.0)
-    keep = dmin2 < np.maximum(lo * lo - slack, by_center[labels])
+    keep = dmin2 < np.maximum(lo * lo - slack, by_center.take(labels))
     redo = np.flatnonzero(~keep)
     if len(redo):
-        lab, d2, second2 = _nearest(points[redo], centers)
+        lab, d2, second2 = _nearest(points.take(redo, axis=0), centers)
         labels[redo] = lab
         dmin2[redo] = d2
         lower[redo] = np.sqrt(second2)
@@ -291,19 +305,20 @@ def lloyd(
         raise BadK(f"codebook size must be >= 1, got {k}")
     if k > pool.n:
         raise BadK(f"codebook size {k} exceeds pool size {pool.n}")
-    if r <= 0:
-        raise ValueError(f"order exponent must be > 0, got {r}")
+    _check_r(r)
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     points = pool.points
     if isinstance(init, Codebook):
         centers = np.array(init.points, dtype=np.float64, copy=True)
-        if len(centers) != k:
-            raise BadK(f"init codebook has {len(centers)} points, expected {k}")
+        if centers.shape != (k, 2):
+            raise BadK(f"init codebook points have shape {centers.shape}, expected ({k}, 2)")
     else:
         rng = np.random.default_rng(init)
         centers = points[rng.choice(pool.n, size=k, replace=False)].copy()
 
     # Largest |p| + |c| seen in this descent: the scale of the score's rounding.
-    point_norm = math.sqrt(float(np.einsum("ij,ij->i", points, points).max()))
+    point_norm = math.sqrt(float(_sq_norms(points).max()))
     scale = 0.0
     lower: np.ndarray | None = None
     repairs = 0
@@ -314,7 +329,7 @@ def lloyd(
     repair_budget = 3 * k + 10
     while iters < max_iters:
         iters += 1
-        center_norm = math.sqrt(float(np.einsum("ij,ij->i", centers, centers).max()))
+        center_norm = math.sqrt(float(_sq_norms(centers).max()))
         scale = max(scale, point_norm + center_norm)
         if lower is None:
             labels, dmin2, second2 = _nearest(points, centers)
@@ -340,8 +355,7 @@ def lloyd(
         prev = dist
         old = centers
         centers = _cell_centers(points, labels, old, r)
-        moved = centers - old
-        shift = np.sqrt(np.einsum("ij,ij->i", moved, moved))
+        shift = np.sqrt(_sq_norms(centers - old))
         top = int(np.argmax(shift))
         runner_up = np.delete(shift, top).max(initial=0.0)
         lower -= np.where(labels == top, runner_up, shift[top])

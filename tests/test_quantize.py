@@ -84,6 +84,32 @@ def test_lloyd_rejects_bad_r(pool):
         cq.lloyd(pool, 2, 0.0, init=1)
 
 
+@pytest.mark.parametrize(
+    "field, kwargs, error",
+    [
+        ("max_iters", {"max_iters": 0}, ValueError),
+        ("order exponent r", {"r": math.nan}, ValueError),
+        ("order exponent r", {"r": math.inf}, ValueError),
+        ("init codebook points", {"init": cq.Codebook(np.zeros((3, 3)), 3, "random")}, cq.BadK),
+    ],
+    ids=["max_iters_0", "r_nan", "r_inf", "init_3x3"],
+)
+def test_lloyd_rejects_bad_arguments(desk1, field, kwargs, error):
+    small = cq.sample(desk1, 100, seed=4)
+    with pytest.raises(error, match=field):
+        cq.lloyd(small, 3, **{"r": 2.0, "init": 1, **kwargs})
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_distortion_rejects_bad_r(desk1, r):
+    small = cq.sample(desk1, 100, seed=4)
+    cb = cq.Codebook(points=np.array([[0.45, 0.6]]), k=1, origin="random")
+    with pytest.raises(ValueError, match="order exponent r"):
+        cq.distortion(small, cb, r)
+    with pytest.raises(ValueError, match="order exponent r"):
+        cq.distortion_stats(small, cb, r)
+
+
 def test_empty_cell_repair(desk1):
     small = cq.sample(desk1, 500, seed=9)
     # two coincident faraway centers guarantee an empty cell on iteration one
@@ -202,6 +228,60 @@ def tree_nearest(points, centers):
         qz._TREE_THRESHOLD = old
 
 
+def reference_dense(points, centers):
+    """The dense kernel with fancy-index gathers, einsum norms and a row-wise min."""
+    k = len(centers)
+    c2 = np.einsum("ij,ij->i", centers, centers)
+    n = len(points)
+    labels = np.empty(n, dtype=np.int64)
+    dmin2 = np.empty(n, dtype=np.float64)
+    second2 = np.empty(n, dtype=np.float64)
+    step = max(1, qz._CHUNK_ENTRIES // max(k, 1))
+    for start in range(0, n, step):
+        block = points[start : start + step]
+        scores = block @ centers.T
+        scores *= -2.0
+        scores += c2
+        lab = np.argmin(scores, axis=1)
+        diff = block - centers[lab]
+        labels[start : start + step] = lab
+        dmin2[start : start + step] = np.einsum("ij,ij->i", diff, diff)
+        scores[np.arange(len(block)), lab] = np.inf
+        rest = scores.min(axis=1) + np.einsum("ij,ij->i", block, block)
+        second2[start : start + step] = np.maximum(rest, 0.0)
+    return labels, dmin2, second2
+
+
+def test_dense_matches_reference_bitwise(desk1, monkeypatch):
+    # A small chunk runs several chunks per call, the last one ragged.
+    monkeypatch.setattr(qz, "_CHUNK_ENTRIES", 96)
+    base = cq.sample(desk1, 1001, seed=23).points
+    grid = np.round(base * 16) / 16  # exactly tied scores
+    pools = {
+        "uniform": np.random.default_rng(23).random((1001, 2)),
+        "grid": grid,
+        "duplicated": np.repeat(grid[:334], 3, axis=0)[:1001],
+        "scaled": base * 1e3,
+    }
+    ragged = 0
+    for name, points in pools.items():
+        rng = np.random.default_rng(len(name))
+        for k in (1, 2, 5, 16, 79):
+            centers = points[rng.choice(len(points), size=k, replace=False)].copy()
+            if k > 2:
+                centers[-1] = centers[0]  # coincident centers tie for second
+            step = max(1, qz._CHUNK_ENTRIES // k)
+            ragged += len(points) % step != 0
+            got = qz._dense(points, centers)
+            want = reference_dense(points, centers)
+            for what, a, b in zip(("labels", "dmin2", "second2"), got, want):
+                assert np.array_equal(a, b), (name, k, what)
+            assert got[0].dtype == np.int64
+            if k == 1:
+                assert np.isinf(got[2]).all()
+    assert ragged > 0
+
+
 def reference_lloyd(pool, k, r, init, max_iters=100, tol=1e-9, trace=None):
     """The full-rescore Lloyd loop: every point scored on every iteration."""
     points = pool.points
@@ -217,7 +297,7 @@ def reference_lloyd(pool, k, r, init, max_iters=100, tol=1e-9, trace=None):
     repair_budget = 3 * k + 10
     while iters < max_iters:
         iters += 1
-        labels, dmin2, _ = _nearest(points, centers)
+        labels, dmin2, _ = reference_dense(points, centers)
         dist = float(np.mean(dmin2 ** (r / 2.0)))
         if trace is not None:
             trace.append(dist)
