@@ -13,17 +13,13 @@ from .antichain import (
     CapExceeded,
     CertificateCheck,
     CertificateReport,
-    GammaFamily,
     JCertificate,
     L1L2Result,
-    OrderSlices,
-    build_gamma_tau,
     build_l1_l2,
     build_upsilon,
     certify,
     glue,
     s2_family,
-    slices,
 )
 from .carpet import (
     BadProbabilities,
@@ -43,21 +39,11 @@ from .carpet import (
 )
 from .constants import NoBracket, SpectralConstants, constants, lhs, solve_sr
 from .product import (
-    EMPTY_PAIR,
     CylinderPair,
-    EmptyPair,
-    MisalignedPair,
     ProductWeights,
-    aligned_children,
     embed,
-    gamma_h,
-    is_aligned,
-    log_pair_energy,
     log_w_mass,
-    pair_order,
-    paired_flatten,
     product_weights,
-    s1_family,
     s1_scan,
     w_mass,
 )

@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .codes import Block, WordCodes
 from .constants import SpectralConstants
 from .product import (
     CylinderPair,
-    EMPTY_PAIR,
     ProductWeights,
     embed,
     log_w_mass,
@@ -42,9 +41,7 @@ from .words import (
     energy,
     log_energy,
     log_weight,
-    order,
     step_table,
-    validate_word,
 )
 
 __all__ = [
@@ -52,16 +49,12 @@ __all__ = [
     "CapExceeded",
     "BadTau",
     "Antichain",
-    "OrderSlices",
-    "GammaFamily",
     "L1L2Result",
     "CertificateCheck",
     "JCertificate",
     "CertificateReport",
     "build_upsilon",
-    "slices",
     "s2_family",
-    "build_gamma_tau",
     "build_l1_l2",
     "certify",
 ]
@@ -99,7 +92,6 @@ class Antichain:
 
     j: int
     r: float
-    kind: str
     codes: WordCodes = field(repr=False)
     log_w: np.ndarray = field(repr=False)
 
@@ -114,35 +106,6 @@ class Antichain:
     @cached_property
     def log_weights(self) -> tuple[float, ...]:
         return tuple(self.log_w.tolist())
-
-
-@dataclass(frozen=True, eq=False)
-class OrderSlices:
-    """The antichain split by word order; orders run k1..k2."""
-
-    j: int
-    k1: int
-    k2: int
-    by_order: tuple[tuple[int, tuple[Word, ...]], ...]
-
-    def at(self, k: int) -> tuple[Word, ...]:
-        for kk, ws in self.by_order:
-            if kk == k:
-                return ws
-        return ()
-
-
-@dataclass(frozen=True, eq=False)
-class GammaFamily:
-    """Per-anchor threshold family in the product space."""
-
-    tau: Word
-    log_epsilon: float
-    pairs: tuple[CylinderPair, ...]
-    log_w: tuple[float, ...]
-
-    def partition_defect(self) -> float:
-        return abs(math.fsum(math.exp(lw) for lw in self.log_w) - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,108 +180,117 @@ def build_upsilon(
         lw = lw + step[row]
     members, perms = WordCodes.from_blocks(spec, [blk for blk, _ in found])
     log_w = np.concatenate([w[p] for (_, w), p in zip(found, perms)])
-    return Antichain(j=j, r=consts.r, kind="weight-threshold", codes=members, log_w=log_w)
-
-
-def slices(antichain: Antichain) -> OrderSlices:
-    """Split the antichain by word order (a partition; orders run k1..k2)."""
-    if not antichain.psi:
-        raise ValueError("cannot slice an empty antichain")
-    words, blocks = antichain.words, antichain.codes.blocks
-    by_order, start = [], 0
-    for blk in blocks:
-        by_order.append((blk.k, words[start : start + len(blk.a)]))
-        start += len(blk.a)
-    return OrderSlices(j=antichain.j, k1=blocks[0].k, k2=blocks[-1].k, by_order=tuple(by_order))
+    return Antichain(j=j, r=consts.r, codes=members, log_w=log_w)
 
 
 def s2_family(
-    spec: CarpetSpec, consts: SpectralConstants, sigma: Word
-) -> list[Word]:
-    """Descendants of sigma whose energy stays within a factor H2 of sigma's.
+    spec: CarpetSpec, consts: SpectralConstants, anchors: WordCodes
+) -> tuple[WordCodes, np.ndarray]:
+    """Descendants of each anchor whose energy stays within a factor H2 of the anchor's.
 
-    Energy decreases strictly along refinement, so the family is a finite
-    subtree; its members span at most M extra orders and their energies sum
-    to at most H3 times sigma's.
+    Energy decreases strictly along refinement, so each family is a finite
+    subtree.  One level-synchronous walk over ``codes.expand`` serves every
+    anchor; a child's log energy is le + t*((up + lq) + shift) after an
+    upgrade and le + t*(lq + shift) otherwise, as a depth-first walk adds it.
+    Returns the members, canonical, and each member's index in ``anchors``.
     """
-    t = consts.t_r
-    base = log_energy(spec, consts, sigma)
+    t, shift = consts.t_r, -consts.r * math.log(spec.m)
+    lq = np.array([v for _, v in step_table(spec).rows])
+    flat, upgrade = t * (lq + shift), t * ((codes.tables(spec).up[:, None] + lq) + shift)
+    base = anchors.values(partial(log_energy, spec, consts))
     cut = base - math.log(consts.H2)
-    out: list[Word] = []
-    stack: list[tuple[Word, float]] = [(sigma, base)]
-    shift = -consts.r * math.log(spec.m)
-    rows, upgrades = step_table(spec)
-    while stack:
-        w, le = stack.pop()
-        if le < cut:
-            continue
-        out.append(w)
-        if ell_steps(spec, order(w)):
-            j_head = w.b[0]
-            tail = w.b[1:]
-            for i, up in upgrades[j_head]:
-                a = w.a + ((i, j_head),)
-                for jj, lq in rows:
-                    stack.append((Word(a, tail + (jj,)), le + t * ((up + lq) + shift)))
-        else:
-            for jj, lq in rows:
-                stack.append((Word(w.a, w.b + (jj,)), le + t * (lq + shift)))
-    out.sort(key=lambda w: (order(w), w.a, w.b))
-    return out
+    start = {blk.k: (blk, p) for blk, p in zip(anchors.blocks, anchors.pos)}
+    k = min(start)
+    front, owner, le = Block(k, *np.zeros((2, 0), dtype=np.int64)), np.zeros(0, int), np.zeros(0)
+    found: list[tuple[Block, np.ndarray]] = []
+    while start or len(le):
+        if k in start:
+            blk, p = start.pop(k)
+            dt = codes.code_dtype(spec, k)
+            front = Block(k, *(np.concatenate([front[i], blk[i]]).astype(dt) for i in (1, 2)))
+            owner, le = np.concatenate([owner, p]), np.concatenate([le, base[p]])
+        keep = le >= cut[owner]
+        front, owner, le = front.take(keep), owner[keep], le[keep]
+        if len(le):
+            found.append((front, owner))
+        front, parent, cell, row = codes.expand(spec, front)
+        owner, le = owner[parent], le[parent] + (flat[row] if cell is None else upgrade[cell, row])
+        k += 1
+    members, perms = WordCodes.from_blocks(spec, [blk for blk, _ in found])
+    return members, np.concatenate([o[p] for (_, o), p in zip(found, perms)])
+
+
+def _pair_step(
+    spec: CarpetSpec, pw: ProductWeights, k: int, a: np.ndarray, b: np.ndarray, lw: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """One aligned step of cylinder pairs whose glued order is k, parent by parent.
+
+    Where ell steps at k a pair gains any cell, in ``spec.entries`` order, as
+    a base-G digit (its rank) of ``a``; otherwise it gains any occupied row
+    digit, as a base-m digit of ``b``.  A child's log W mass is its parent's
+    plus the digit's.  Returns (parent index, digit index, a, b, log W).
+    """
+    tab, dt = codes.tables(spec), codes.code_dtype(spec, k + 1)
+    if ell_steps(spec, k):
+        digits = np.array([tab.cells.index((i, j)) for i, j, _ in spec.entries])
+        inc = np.array([pw.log_p_tilde[(i, j)] for i, j, _ in spec.entries])
+    else:
+        digits, inc = tab.rows, np.array([pw.log_q_tilde[j] for j in tab.rows.tolist()])
+    parent = np.repeat(np.arange(len(lw)), len(digits))
+    digit = np.tile(np.arange(len(digits)), len(lw))
+    a, b = a.astype(dt)[parent], b.astype(dt)[parent]
+    if ell_steps(spec, k):
+        return parent, digit, a * len(tab.cells) + digits[digit], b, lw[parent] + inc[digit]
+    return parent, digit, a, b * spec.m + digits[digit], lw[parent] + inc[digit]
+
+
+class GammaPairs(NamedTuple):
+    """Cylinder pairs of several threshold families, family by family."""
+
+    family: np.ndarray  # index of the family's quota
+    a: np.ndarray  # cell codes: cell ranks in base G
+    b: np.ndarray  # row codes: row digits in base m
+    cells: np.ndarray  # number of cells
+    depth: np.ndarray  # number of digits
+    log_w: np.ndarray  # log W mass
 
 
 def _gamma_pairs(
-    spec: CarpetSpec, pw: ProductWeights, k1: int, log_eps: float, cap: int
-) -> tuple[list[CylinderPair], list[float]]:
-    """Aligned pairs (offset k1) collected the first time their W mass drops below epsilon."""
-    pairs: list[CylinderPair] = []
-    logs: list[float] = []
-    rows = step_table(spec).rows
-    cells = tuple((i, jj) for i, jj, _ in spec.entries)
-    stack: list[tuple[CylinderPair, float]] = [(EMPTY_PAIR, 0.0)]
-    while stack:
-        c, lw = stack.pop()
-        if lw < log_eps:
-            pairs.append(c)
-            logs.append(lw)
-            if len(pairs) > cap:
-                raise CapExceeded(cap, len(pairs), "per-anchor threshold family")
-            continue
-        if ell_steps(spec, k1 + len(c.sigma) + len(c.omega)):
-            for cell in cells:
-                stack.append(
-                    (CylinderPair(c.sigma + (cell,), c.omega), lw + pw.log_p_tilde[cell])
-                )
-        else:
-            for jj, _ in rows:
-                stack.append(
-                    (CylinderPair(c.sigma, c.omega + (jj,)), lw + pw.log_q_tilde[jj])
-                )
-    return pairs, logs
+    spec: CarpetSpec, pw: ProductWeights, k1: int, log_eps: np.ndarray, cap: int
+) -> GammaPairs:
+    """Aligned pairs (offset k1) collected the first time their W mass drops below epsilon.
 
-
-def build_gamma_tau(
-    spec: CarpetSpec,
-    consts: SpectralConstants,
-    pw: ProductWeights,
-    j: int,
-    k1: int,
-    tau: Word,
-    cap: int = DEFAULT_CAP,
-) -> GammaFamily:
-    """Threshold family of cylinder pairs below the anchor's energy quota.
-
-    The anchor must be an order-k1 word still above the level-j antichain.
-    Pairs grow by aligned steps (offset k1); a pair is collected the first
-    time its W mass drops below epsilon = eta_lo^(j t) / energy(tau).  The
-    collected family W-partitions the whole product space.
+    One level-synchronous walk of ``_pair_step`` serves every quota in
+    ``log_eps``.  Each family keeps the order of a depth-first walk that pops
+    the last child first: its paths of digit indices, descending.  No
+    collected path is a prefix of another, so paths padded to the deepest
+    level sort into that order exactly.
     """
-    validate_word(spec, tau)
-    if order(tau) != k1:
-        raise BadTau(f"anchor must have order {k1}, got {order(tau)}")
-    log_eps = _log_epsilon(spec, consts, j, tau)
-    pairs, logs = _gamma_pairs(spec, pw, k1, log_eps, cap)
-    return GammaFamily(tau=tau, log_epsilon=log_eps, pairs=tuple(pairs), log_w=tuple(logs))
+    n = len(log_eps)
+    fam, lw, count = np.arange(n), np.zeros(n), np.zeros(n, dtype=np.int64)
+    a = b = path = np.zeros(n, dtype=np.int64)
+    levels, radix = [], []  # per depth: (family, a, b, path, log W) of its collected pairs
+    while True:
+        below = lw < log_eps[fam]
+        levels.append((fam[below], a[below], b[below], path[below], lw[below]))
+        count += np.bincount(fam[below], minlength=n)
+        fam, a, b, path, lw = fam[~below], a[~below], b[~below], path[~below], lw[~below]
+        # every pair still on the front has at least one collected pair below it
+        bound = count + np.bincount(fam, minlength=n)
+        if (bound > cap).any():
+            raise CapExceeded(cap, int(bound.max()), "per-anchor threshold family")
+        if not len(lw):
+            break
+        parent, digit, a, b, lw = _pair_step(spec, pw, k1 + len(radix), a, b, lw)
+        radix.append(len(digit) // len(fam))
+        fam, path = fam[parent], path.astype(a.dtype)[parent] * radix[-1] + digit
+    dt = codes.code_dtype(spec, k1 + len(radix))
+    key = np.concatenate([lev[3].astype(dt) * math.prod(radix[d:]) for d, lev in enumerate(levels)])
+    fam, a, b, _, log_w = (np.concatenate(col) for col in zip(*levels))
+    depth = np.repeat(np.arange(len(levels)), [len(lev[0]) for lev in levels])
+    cells = np.array([ell(spec, k1 + d) - ell(spec, k1) for d in range(len(levels))])[depth]
+    order = np.lexsort((-key, fam))
+    return GammaPairs(fam[order], a[order], b[order], cells[order], depth[order], log_w[order])
 
 
 def _log_epsilon(spec: CarpetSpec, consts: SpectralConstants, j: int, tau: Word) -> float:
@@ -370,8 +342,7 @@ def build_l1_l2(
     family depends on its anchor only through epsilon, so each distinct
     epsilon is walked once.
     """
-    members = upsilon.codes
-    lam = members.blocks[0]
+    lam = upsilon.codes.blocks[0]
     j, k1 = upsilon.j, lam.k
     pw = product_weights(spec, consts)
     g, m = len(codes.tables(spec).cells), spec.m
@@ -380,40 +351,38 @@ def build_l1_l2(
     taus = taus.take(codes.lookup(codes.keys(spec, lam), codes.keys(spec, taus)) < 0)
     tau_codes = WordCodes(spec, (taus,), (np.arange(len(taus.a)),))
     log_eps = tau_codes.values(partial(_log_epsilon, spec, consts, j))
-    eps, first, which = np.unique(log_eps, return_index=True, return_inverse=True)
-    families = {}
-    for u in np.argsort(first, kind="stable").tolist():
-        families[u] = _gamma_pairs(spec, pw, k1, float(eps[u]), cap)
-    sizes = np.array([len(families[u][0]) for u in range(len(eps))], dtype=np.int64)[which]
-    defects = [
-        abs(math.fsum(math.exp(lw) for lw in families[u][1]) - 1.0) for u in range(len(eps))
-    ]
+    eps, which = np.unique(log_eps, return_inverse=True)
+    pairs = _gamma_pairs(spec, pw, k1, eps, cap)
+    fam_size = np.bincount(pairs.family, minlength=len(eps))
+    fam_start = np.cumsum(fam_size) - fam_size
+    logs = np.split(pairs.log_w, fam_start[1:])
+    defects = [abs(math.fsum(map(math.exp, lw.tolist())) - 1.0) for lw in logs]
+    sizes = fam_size[which]
     total = len(lam.a) + int(sizes.sum())
     if total > cap:
         raise CapExceeded(cap, total, "glued level")
-    start = len(lam.a) + np.cumsum(sizes) - sizes
 
+    # glued word i of l1 (past the slice) is anchor tau[i] followed by pair[i]
+    tau = np.repeat(np.arange(len(taus.a)), sizes)
+    glued = np.arange(len(tau))
+    pair = glued + np.repeat(fam_start[which] - (np.cumsum(sizes) - sizes), sizes)
+    depth, n_cells = pairs.depth[pair], pairs.cells[pair]
+    bad = pairs.cells + ell(spec, k1) != [ell(spec, k1 + d) for d in pairs.depth.tolist()]
+    misfit = None
+    if bad.any():
+        i = int(np.argmax(bad[pair]))
+        p, d, ns = int(pair[i]), int(depth[i]), int(n_cells[i])
+        cells, rows = codes.decode(spec, Block(d, pairs.a[p : p + 1], pairs.b[p : p + 1]), ns)[0]
+        misfit = glue(codes.decode(spec, taus.take(tau[i : i + 1]))[0], CylinderPair(cells, rows))
     parts: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {
         k1: [(lam.a, lam.b, np.arange(len(lam.a)))]
     }
-    misfit = None
-    for u, (pairs, _) in families.items():
-        users = np.flatnonzero(which == u)
-        n_cells = np.array([len(c.sigma) for c in pairs])
-        depth = n_cells + np.array([len(c.omega) for c in pairs])
-        a_sig, b_om = codes.encode(spec, pairs)
-        shape_ok = n_cells + ell(spec, k1) == np.array([ell(spec, k1 + d) for d in depth.tolist()])
-        # families run in order of first use, so the first misfit met is the first in l1
-        if misfit is None and not shape_ok.all():
-            tau = codes.decode(spec, taus.take(users[:1]))[0]
-            misfit = glue(tau, pairs[int(np.argmin(shape_ok))])
-        for d, ns in sorted(set(zip(depth.tolist(), n_cells.tolist()))):
-            sel = np.flatnonzero((depth == d) & (n_cells == ns))
-            dt = codes.code_dtype(spec, k1 + d)
-            a = taus.a[users].astype(dt)[:, None] * g**ns + a_sig[sel].astype(dt)[None, :]
-            b = taus.b[users].astype(dt)[:, None] * m ** (d - ns) + b_om[sel].astype(dt)[None, :]
-            pos = start[users][:, None] + sel[None, :]
-            parts.setdefault(k1 + d, []).append((a.ravel(), b.ravel(), pos.ravel()))
+    for d, ns in sorted(set(zip(pairs.depth.tolist(), pairs.cells.tolist()))):
+        sel = np.flatnonzero((depth == d) & (n_cells == ns))
+        dt = codes.code_dtype(spec, k1 + d)
+        a = taus.a[tau[sel]].astype(dt) * g**ns + pairs.a[pair[sel]].astype(dt)
+        b = taus.b[tau[sel]].astype(dt) * m ** (d - ns) + pairs.b[pair[sel]].astype(dt)
+        parts.setdefault(k1 + d, []).append((a, b, len(lam.a) + glued[sel]))
     blocks, pos = [], []
     for k in sorted(parts):
         dt = codes.code_dtype(spec, k)
@@ -625,18 +594,20 @@ def certify(
             add(_check(j, "embed-sandwich-upper", gap[i_hi], "<=", log_pq + LOG_SLACK, sw_hi))
 
         # comparable-descendant family at sampled anchors
-        sampled = [members.word(i) for i in _evenly_spaced(range(ups.psi), S2_SAMPLES)]
-        s2_ratios: list[float] = []
-        s2_gaps: list[int] = []
-        for sigma in sampled:
-            fam = s2_family(spec, consts, sigma)
-            e_fam = math.fsum(energy(spec, consts, w) for w in fam)
-            s2_ratios.append(e_fam / energy(spec, consts, sigma))
-            s2_gaps.append(max(order(w) for w in fam) - order(sigma))
-        i_s2 = max(range(len(sampled)), key=s2_ratios.__getitem__)
-        s2_max_ratio, s2_max_gap = s2_ratios[i_s2], max(s2_gaps)
-        s2_wit = sampled[i_s2]
-        add(_check(j, "s2-mass", s2_max_ratio, "<=", consts.H3 * (1.0 + LOG_SLACK), lambda: s2_wit))
+        sampled = np.array(_evenly_spaced(range(ups.psi), S2_SAMPLES))
+        picks = [np.isin(p, sampled) for p in members.pos]
+        anchors, _ = WordCodes.from_blocks(
+            spec, [blk.take(pick) for blk, pick in zip(members.blocks, picks) if pick.any()]
+        )
+        fam, owner = s2_family(spec, consts, anchors)
+        e_fam = fam.values(partial(energy, spec, consts))[np.argsort(owner, kind="stable")]
+        sums = [math.fsum(e.tolist()) for e in np.split(e_fam, np.cumsum(np.bincount(owner))[:-1])]
+        s2_ratios = np.array(sums) / anchors.values(partial(energy, spec, consts))
+        i_s2 = int(np.argmax(s2_ratios))
+        s2_max_ratio = float(s2_ratios[i_s2])
+        s2_max_gap = int((fam.orders() - anchors.orders()[owner]).max())
+        s2_wit = at(sampled[i_s2])
+        add(_check(j, "s2-mass", s2_max_ratio, "<=", consts.H3 * (1.0 + LOG_SLACK), s2_wit))
         add(_check(j, "s2-gap", float(s2_max_gap), "<=", float(consts.M)))
 
         # multi-level construction
@@ -687,7 +658,7 @@ def certify(
                 s1_max_gap=s1_max_gap,
                 s2_max_ratio=s2_max_ratio,
                 s2_max_gap=s2_max_gap,
-                s2_samples=len(sampled),
+                s2_samples=len(anchors),
                 sandwich_checked=sandwich_checked,
                 phi=res.phi,
                 l1_count=len(res.l1_codes),

@@ -36,7 +36,6 @@ __all__ = [
     "keys",
     "lookup",
     "decode",
-    "encode",
     "all_codes",
     "centers",
 ]
@@ -167,29 +166,14 @@ def _digits(values: np.ndarray, base: int, count: int) -> np.ndarray:
     return out
 
 
-def decode(spec: CarpetSpec, blk: Block) -> list[Word]:
+def decode(spec: CarpetSpec, blk: Block, cells: int | None = None) -> list[Word]:
+    """The words of a block; ``cells`` overrides the ell(k) cells an order-k word carries."""
     t = tables(spec)
-    lk = ell(spec, blk.k)
+    lk = ell(spec, blk.k) if cells is None else cells
     a_rows = _digits(blk.a, len(t.cells), lk).tolist()
     b_rows = _digits(blk.b, spec.m, blk.k - lk).tolist()
     cells = t.cells
     return [Word(tuple(cells[c] for c in a), tuple(b)) for a, b in zip(a_rows, b_rows)]
-
-
-def encode(spec: CarpetSpec, words) -> tuple[np.ndarray, np.ndarray]:
-    """The (a, b) codes of words or cylinder pairs, as object arrays (not checked)."""
-    rank = {c: r for r, c in enumerate(tables(spec).cells)}
-    g, m = len(rank), spec.m
-    a, b = [], []
-    for cells, rows in words:
-        ca = cb = 0
-        for c in cells:
-            ca = ca * g + rank[c]
-        for j in rows:
-            cb = cb * m + j
-        a.append(ca)
-        b.append(cb)
-    return np.array(a, dtype=object), np.array(b, dtype=object)
 
 
 def all_codes(spec: CarpetSpec, k: int) -> Block:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,35 +20,18 @@ from . import codes
 from .carpet import CarpetSpec
 from .codes import WordCodes
 from .constants import SpectralConstants
-from .words import Word, ell, ell_steps, log_tables, step_table
+from .words import Word, log_tables
 
 __all__ = [
-    "EmptyPair",
-    "MisalignedPair",
     "CylinderPair",
     "ProductWeights",
     "product_weights",
-    "pair_order",
     "embed",
     "log_w_mass",
     "w_mass",
-    "log_pair_energy",
-    "is_aligned",
-    "aligned_children",
-    "gamma_h",
-    "paired_flatten",
-    "s1_family",
     "S1Scan",
     "s1_scan",
 ]
-
-
-class EmptyPair(ValueError):
-    """The empty cylinder pair has no parent."""
-
-
-class MisalignedPair(ValueError):
-    """Pair does not satisfy the ell-alignment constraint of its family."""
 
 
 class CylinderPair(NamedTuple):
@@ -56,9 +39,6 @@ class CylinderPair(NamedTuple):
 
     sigma: tuple[tuple[int, int], ...]
     omega: tuple[int, ...]
-
-
-EMPTY_PAIR = CylinderPair((), ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +76,6 @@ def product_weights(spec: CarpetSpec, consts: SpectralConstants) -> ProductWeigh
     )
 
 
-def pair_order(c: CylinderPair) -> int:
-    return len(c.sigma) + len(c.omega)
-
-
 def embed(w: Word) -> CylinderPair:
     """A word's two digit blocks, read as a product-space cylinder."""
     return CylinderPair(w.a, w.b)
@@ -116,90 +92,6 @@ def w_mass(pw: ProductWeights, c: CylinderPair) -> float:
     return math.exp(log_w_mass(pw, c))
 
 
-def log_pair_energy(spec: CarpetSpec, consts: SpectralConstants, c: CylinderPair) -> float:
-    """Energy of the pair read as a free concatenation of its symbols."""
-    log_p_cell, log_q_row = log_tables(spec)
-    log_mu = math.fsum(log_p_cell[cell] for cell in c.sigma) + math.fsum(
-        log_q_row[j] for j in c.omega
-    )
-    return consts.t_r * (log_mu - pair_order(c) * consts.r * math.log(spec.m))
-
-
-def is_aligned(spec: CarpetSpec, c: CylinderPair, offset: int = 0) -> bool:
-    """ell-alignment: the cell block is exactly as long as an order offset+|c|
-    location code demands beyond the offset's own cell count."""
-    total = pair_order(c) + offset
-    return len(c.sigma) + ell(spec, offset) == ell(spec, total)
-
-
-def aligned_children(
-    spec: CarpetSpec, c: CylinderPair, offset: int = 0
-) -> tuple[CylinderPair, ...]:
-    """One aligned extension step; exactly one of the two forms applies.
-
-    When ell increments at the next total order the cell block grows by one
-    cell (all occupied cells); otherwise the row block gains one row digit.
-    Either way the children's W masses sum to the parent's.
-    """
-    if ell_steps(spec, pair_order(c) + offset):
-        return tuple(
-            CylinderPair(c.sigma + ((i, j),), c.omega) for i, j, _ in spec.entries
-        )
-    return tuple(CylinderPair(c.sigma, c.omega + (j,)) for j, _ in step_table(spec).rows)
-
-
-def gamma_h(
-    spec: CarpetSpec, c: CylinderPair, h: int, offset: int = 0
-) -> list[CylinderPair]:
-    """All aligned extensions of c by h symbols (a W-partition of c)."""
-    if h < 0:
-        raise ValueError(f"depth must be >= 0, got {h}")
-    if not is_aligned(spec, c, offset):
-        raise MisalignedPair(f"anchor pair {c} is not aligned at offset {offset}")
-    level = [c]
-    for _ in range(h):
-        nxt: list[CylinderPair] = []
-        for pair in level:
-            nxt.extend(aligned_children(spec, pair, offset))
-        level = nxt
-    return level
-
-
-def paired_flatten(spec: CarpetSpec, c: CylinderPair, offset: int = 0) -> CylinderPair:
-    """Parent of an aligned pair: drops the symbol the last aligned step added."""
-    d = pair_order(c)
-    if d == 0:
-        raise EmptyPair("the empty pair has no parent")
-    if not is_aligned(spec, c, offset):
-        raise MisalignedPair(f"pair {c} is not aligned at offset {offset}")
-    if not ell_steps(spec, offset + d - 1):
-        return CylinderPair(c.sigma, c.omega[:-1])
-    return CylinderPair(c.sigma[:-1], c.omega)
-
-
-def s1_family(
-    spec: CarpetSpec,
-    consts: SpectralConstants,
-    words: Sequence[Word],
-    sigma: Word,
-) -> list[Word]:
-    """Members of the family whose *both* blocks extend sigma's blocks.
-
-    These are exactly the antichain members whose embedded cylinders meet
-    sigma's embedded cylinder; their W masses sum to at most H1 times the
-    anchor's W mass, and their orders exceed sigma's by at most H1.
-    """
-    la, lb = len(sigma.a), len(sigma.b)
-    return [
-        tau
-        for tau in words
-        if len(tau.a) >= la
-        and len(tau.b) >= lb
-        and tau.a[:la] == sigma.a
-        and tau.b[:lb] == sigma.b
-    ]
-
-
 class S1Scan(NamedTuple):
     """Per-anchor aggregates of the overlap family, anchors in the order a
     word-by-word scan first meets them (word order, then anchor order)."""
@@ -212,11 +104,14 @@ class S1Scan(NamedTuple):
 def s1_scan(spec: CarpetSpec, pw: ProductWeights, members: WordCodes) -> S1Scan:
     """Per-anchor aggregate of the overlap family over a whole antichain.
 
-    ``members`` must be canonical.  For each word tau, every aligned prefix
-    of tau that is itself a member is an anchor whose family contains tau;
-    each member is its own anchor.  Equivalent to running s1_family at every
-    anchor, with one prefix lookup per (anchor order, word order) pair of
-    code blocks instead of O(words^2) comparisons.
+    An anchor's overlap family is every member whose two blocks extend the
+    anchor's, i.e. whose embedded cylinder meets the anchor's; its W masses
+    sum to at most H1 times the anchor's and its orders exceed the anchor's
+    by at most H1.  ``members`` must be canonical.  For each word tau, every
+    aligned prefix of tau that is itself a member is an anchor whose family
+    contains tau; each member is its own anchor.  One prefix lookup per
+    (anchor order, word order) pair of code blocks replaces O(words^2)
+    comparisons.
     """
     w = members.values(lambda word: w_mass(pw, embed(word)))
     taus, anchors, gaps = [], [], []

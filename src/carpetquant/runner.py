@@ -102,12 +102,13 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]
 
 
 def fit_slope(ks: Sequence[int], errors: Sequence[float]) -> tuple[float, float]:
-    """Least-squares slope of log(error) against log(k), with its stderr."""
+    """Least-squares slope of log(error) against log(k), with its stderr;
+    (nan, inf) when the ks do not spread or an error is not positive."""
+    if len(set(ks)) < 2 or min(errors) <= 0:
+        return float("nan"), float("inf")
     xs = [math.log(k) for k in ks]
     ys = [math.log(e) for e in errors]
     n = len(xs)
-    if n < 2:
-        return float("nan"), float("inf")
     xbar = math.fsum(xs) / n
     ybar = math.fsum(ys) / n
     sxx = math.fsum((x - xbar) ** 2 for x in xs)
@@ -246,7 +247,7 @@ def run(cfg: RunConfig) -> int:
 
             slope, slope_err = fit_slope(cfg.k_grid, errors)
             scaled = [k ** (r / consts.s_r) * res.distortion for k, res in zip(cfg.k_grid, results)]
-            band_ratio = max(scaled) / min(scaled)
+            band_ratio = max(scaled) / min(scaled) if min(scaled) > 0 else math.inf
             summary_rows.append((r, consts.s_r, slope, slope_err, band_ratio, report.all_pass))
     finally:
         write_csv(out / "dimension.csv", DIMENSION_COLUMNS, dimension_rows)

@@ -13,7 +13,9 @@ import random
 import time
 
 import carpetquant as cq
+from carpetquant.antichain import _log_epsilon
 from carpetquant.runner import RunConfig, run
+from reference_walks import gamma_families, pair_levels, paired_flatten, s1_family, s2_families
 
 LOG_SLACK = 1e-11
 
@@ -114,7 +116,7 @@ def test_criterion_3_overlap_family(desk1, consts2, pw2, upsilon):
             ups = upsilon(j)
             w_of = {w: cq.w_mass(pw2, cq.embed(w)) for w in ups.words}
             for sigma in ups.words:
-                fam = cq.s1_family(desk1, consts2, ups.words, sigma)
+                fam = s1_family(desk1, consts2, ups.words, sigma)
                 assert sigma in fam
                 total = math.fsum(w_of[w] for w in fam)
                 assert total <= consts2.H1 * w_of[sigma]
@@ -134,10 +136,11 @@ def test_criterion_4_sandwiches(desk1, consts2, pw2, upsilon):
                 assert le <= lw <= le + log_pq
 
         # parent step bound, every aligned pair of total length <= 8 at j=3
-        k1 = cq.slices(upsilon(3)).k1
+        k1 = upsilon(3).codes.blocks[0].k
         cells = tuple((i, j) for i, j, _ in desk1.entries)
         rows = cq.derive_indices(desk1).g_y
         drop = math.log(consts2.eta_lo) * consts2.t_r - math.log(consts2.P)
+        levels = pair_levels(desk1, pw2, k1, 8)
         for d in range(1, 9):
             a = cq.ell(desk1, k1 + d) - cq.ell(desk1, k1)
             direct = {
@@ -145,10 +148,10 @@ def test_criterion_4_sandwiches(desk1, consts2, pw2, upsilon):
                 for sig in itertools.product(cells, repeat=a)
                 for om in itertools.product(rows, repeat=d - a)
             }
-            from_tree = cq.gamma_h(desk1, cq.EMPTY_PAIR, d, offset=k1)
+            from_tree = levels[d][1]
             assert set(from_tree) == direct and len(from_tree) == len(direct)
             for pair in direct:
-                parent = cq.paired_flatten(desk1, pair, offset=k1)
+                parent = paired_flatten(desk1, pair, offset=k1)
                 lw = cq.log_w_mass(pw2, pair)
                 lwp = cq.log_w_mass(pw2, parent)
                 assert lwp + drop <= lw < lwp
@@ -159,6 +162,7 @@ def test_criterion_5_comparable_descendants(desk1, consts2):
         rng = random.Random(47021)
         cells = tuple((i, j) for i, j, _ in desk1.entries)
         rows = cq.derive_indices(desk1).g_y
+        sigmas = []
         for _ in range(50):
             k = rng.randrange(1, 9)
             la = cq.ell(desk1, k)
@@ -167,7 +171,8 @@ def test_criterion_5_comparable_descendants(desk1, consts2):
                 tuple(rng.choice(rows) for _ in range(k - la)),
             )
             cq.validate_word(desk1, sigma)
-            fam = cq.s2_family(desk1, consts2, sigma)
+            sigmas.append(sigma)
+        for sigma, fam in zip(sigmas, s2_families(desk1, consts2, sigmas)):
             e_sigma = cq.energy(desk1, consts2, sigma)
             total = math.fsum(cq.energy(desk1, consts2, w) for w in fam)
             assert total <= consts2.H3 * e_sigma
@@ -181,15 +186,14 @@ def test_criterion_6_multilevel_pipeline(desk1, consts2, pw2, upsilon):
         log_pq = math.log(consts2.P) - math.log(consts2.Q)
         for j in (2, 3, 4):
             ups = upsilon(j)
-            sl = cq.slices(ups)
-            lam = set(sl.at(sl.k1))
+            k1 = ups.codes.blocks[0].k
+            lam = {w for w in ups.words if cq.order(w) == k1}
 
             # every per-anchor family W-partitions the product space
-            for tau in cq.all_words(desk1, sl.k1):
-                if tau in lam:
-                    continue
-                fam = cq.build_gamma_tau(desk1, consts2, pw2, j, sl.k1, tau)
-                total = math.fsum(cq.w_mass(pw2, p) for p in fam.pairs)
+            taus = [tau for tau in cq.all_words(desk1, k1) if tau not in lam]
+            eps = [_log_epsilon(desk1, consts2, j, tau) for tau in taus]
+            for pairs, _ in gamma_families(desk1, pw2, k1, eps):
+                total = math.fsum(cq.w_mass(pw2, p) for p in pairs)
                 assert abs(total - 1.0) <= 1e-12
 
             res = cq.build_l1_l2(desk1, consts2, ups)

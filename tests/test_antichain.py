@@ -2,11 +2,19 @@ import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import carpetquant as cq
-from carpetquant import Word
-from carpetquant.antichain import _evenly_spaced
+from carpetquant import Word, codes
+from carpetquant.antichain import _evenly_spaced, _log_epsilon
+from reference_walks import (
+    gamma_families,
+    pair_order,
+    reference_gamma_pairs,
+    reference_s2_family,
+    s2_families,
+)
 
 
 def test_upsilon_j0(desk1, consts2, upsilon):
@@ -69,18 +77,18 @@ def test_upsilon_cap(desk1, consts2):
 
 def test_slices(desk1, upsilon):
     ups = upsilon(2)
-    sl = cq.slices(ups)
-    assert (sl.k1, sl.k2) == (3, 4)
+    blocks = ups.codes.blocks
+    by_order = [(blk.k, codes.decode(desk1, blk)) for blk in blocks]
+    assert (blocks[0].k, blocks[-1].k) == (3, 4)
     orders = sorted({cq.order(w) for w in ups.words})
-    assert [k for k, _ in sl.by_order] == orders
-    assert sum(len(ws) for _, ws in sl.by_order) == ups.psi
-    assert all(cq.order(w) == k for k, ws in sl.by_order for w in ws)
+    assert [k for k, _ in by_order] == orders
+    assert sum(len(ws) for _, ws in by_order) == ups.psi
+    assert all(cq.order(w) == k for k, ws in by_order for w in ws)
 
 
 def test_s2_family_contains_anchor_and_respects_bounds(desk1, consts2):
-    anchors = [Word((), (0,)), Word(((1, 1),), (0, 1)), Word(((2, 1), (0, 0)), (1,))]
-    for sigma in anchors:
-        fam = cq.s2_family(desk1, consts2, sigma)
+    anchors = [Word((), (0,)), Word(((1, 1),), (0, 1)), Word(((2, 1), (0, 0)), (1, 0))]
+    for sigma, fam in zip(anchors, s2_families(desk1, consts2, anchors)):
         assert sigma in fam
         e_sigma = cq.energy(desk1, consts2, sigma)
         total = math.fsum(cq.energy(desk1, consts2, w) for w in fam)
@@ -101,54 +109,42 @@ def test_s2_family_matches_reference_walk(desk1, config, r, j):
     spec = desk1 if config == "desk1" else cq.load_config(TIE)
     consts = cq.constants(spec, r)
     ups = cq.build_upsilon(spec, consts, j)
-    for sigma in _evenly_spaced(ups.words, 20):
-        # energy falls along refinement, so pruning below the cut loses no member
-        cut = cq.log_energy(spec, consts, sigma) - math.log(consts.H2)
-        want, stack = [], [sigma]
-        while stack:
-            w = stack.pop()
-            if cq.log_energy(spec, consts, w) >= cut:
-                want.append(w)
-                stack.extend(cq.children(spec, w))
-        want.sort(key=lambda w: (cq.order(w), w.a, w.b))
-        assert cq.s2_family(spec, consts, sigma) == want, cq.encode_word(sigma)
+    sampled = _evenly_spaced(ups.words, 20)
+    # energy falls along refinement, so pruning below the cut loses no member
+    want = [reference_s2_family(spec, consts, sigma) for sigma in sampled]
+    assert s2_families(spec, consts, sampled) == want
+
+
+def k1_slice(ups):
+    """The order and the words of the antichain's minimum-order slice."""
+    k1 = ups.codes.blocks[0].k
+    return k1, [w for w in ups.words if cq.order(w) == k1]
 
 
 def test_gamma_tau_partition(desk1, consts2, pw2, upsilon):
-    ups = upsilon(2)
-    sl = cq.slices(ups)
-    lam = set(sl.at(sl.k1))
-    checked = 0
-    for tau in cq.all_words(desk1, sl.k1):
-        if tau in lam:
-            continue
-        fam = cq.build_gamma_tau(desk1, consts2, pw2, 2, sl.k1, tau)
-        assert fam.partition_defect() <= 1e-12
-        assert len(fam.pairs) == len(set(fam.pairs))
-        checked += 1
-    assert checked > 0
+    k1, lam = k1_slice(upsilon(2))
+    taus = [tau for tau in cq.all_words(desk1, k1) if tau not in lam]
+    eps = [_log_epsilon(desk1, consts2, 2, tau) for tau in taus]
+    for pairs, log_w in gamma_families(desk1, pw2, k1, eps):
+        assert abs(math.fsum(math.exp(lw) for lw in log_w) - 1.0) <= 1e-12
+        assert len(pairs) == len(set(pairs))
+    assert len(taus) > 0
 
 
 def test_gamma_tau_rejects_bad_anchor(desk1, consts2, pw2, upsilon):
-    ups = upsilon(2)
-    sl = cq.slices(ups)
+    _, lam = k1_slice(upsilon(2))
     with pytest.raises(cq.BadTau):
-        wrong_order = Word((), (0,))
-        cq.build_gamma_tau(desk1, consts2, pw2, 2, sl.k1, wrong_order)
-    with pytest.raises(cq.BadTau):
-        below = sl.at(sl.k1)[0]  # an antichain member is already below threshold
-        cq.build_gamma_tau(desk1, consts2, pw2, 2, sl.k1, below)
+        below = lam[0]  # an antichain member is already below threshold
+        _log_epsilon(desk1, consts2, 2, below)
 
 
 def test_glue_orders(desk1, consts2, pw2, upsilon):
-    ups = upsilon(2)
-    sl = cq.slices(ups)
-    lam = set(sl.at(sl.k1))
-    tau = next(t for t in cq.all_words(desk1, sl.k1) if t not in lam)
-    fam = cq.build_gamma_tau(desk1, consts2, pw2, 2, sl.k1, tau)
-    for pair in fam.pairs:
+    k1, lam = k1_slice(upsilon(2))
+    tau = next(t for t in cq.all_words(desk1, k1) if t not in lam)
+    [(pairs, _)] = gamma_families(desk1, pw2, k1, [_log_epsilon(desk1, consts2, 2, tau)])
+    for pair in pairs:
         glued = cq.glue(tau, pair)
-        assert cq.order(glued) == sl.k1 + cq.pair_order(pair)
+        assert cq.order(glued) == k1 + pair_order(pair)
         cq.validate_word(desk1, glued)
 
 
@@ -236,10 +232,22 @@ def test_certificate_accessor(desk1, consts2):
 
 def test_certify_names_a_misshapen_glued_word(desk1, consts2, monkeypatch):
     walk = cq.antichain._gamma_pairs
+    g, cell = len(codes.tables(desk1).cells), codes.tables(desk1).cells.index((0, 0))
 
     def misshape(spec, pw, k1, log_eps, cap):
-        # a pair with row digits trades its last one for a cell: same depth, wrong shape
-        pairs, logs = walk(spec, pw, k1, log_eps, cap)
+        # in each family, the first pair with row digits trades its last one
+        # for a cell: same depth, wrong shape
+        pairs = walk(spec, pw, k1, log_eps, cap)
+        a, b, cells = pairs.a.copy(), pairs.b.copy(), pairs.cells.copy()
+        for u in range(len(log_eps)):
+            rows = np.flatnonzero((pairs.family == u) & (pairs.depth > pairs.cells))
+            if rows.size:
+                i = rows[0]
+                a[i], b[i], cells[i] = a[i] * g + cell, b[i] // spec.m, cells[i] + 1
+        return pairs._replace(a=a, b=b, cells=cells)
+
+    def reference_misshape(spec, pw, k1, log_eps, cap):
+        pairs, logs = reference_gamma_pairs(spec, pw, k1, log_eps, cap)
         for i, c in enumerate(pairs):
             if c.omega:
                 pairs[i] = cq.CylinderPair(c.sigma + ((0, 0),), c.omega[:-1])
@@ -248,16 +256,14 @@ def test_certify_names_a_misshapen_glued_word(desk1, consts2, monkeypatch):
 
     monkeypatch.setattr(cq.antichain, "_gamma_pairs", misshape)
     j = 5  # the first level whose families hold pairs with row digits
-    ups = cq.build_upsilon(desk1, consts2, j)
-    sl = cq.slices(ups)
-    lam = set(sl.at(sl.k1))
+    k1, lam = k1_slice(cq.build_upsilon(desk1, consts2, j))
     pw = cq.product_weights(desk1, consts2)
     glued = (
         cq.glue(tau, pair)
-        for tau in cq.all_words(desk1, sl.k1)
+        for tau in cq.all_words(desk1, k1)
         if tau not in lam
-        for pair in misshape(
-            desk1, pw, sl.k1, cq.antichain._log_epsilon(desk1, consts2, j, tau), 10**6
+        for pair in reference_misshape(
+            desk1, pw, k1, _log_epsilon(desk1, consts2, j, tau), 10**6
         )[0]
     )
     first_bad = next(w for w in glued if len(w.a) != cq.ell(desk1, cq.order(w)))

@@ -1,8 +1,12 @@
+import ast
 import filecmp
 import functools
 import hashlib
+import importlib
 import json
+import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -165,6 +169,28 @@ def test_capped_lloyd_warns_once_per_r_and_k(desk1_path, tmp_path, capsys, monke
     )
 
 
+def test_fit_slope_without_a_line_is_nan():
+    # no spread in k, a zero error, and a single k with a zero error
+    for ks, errors in [((4, 4), (0.1, 0.2)), ((1, 4), (0.3, 0.0)), ((4,), (0.0,))]:
+        slope, err = runner.fit_slope(ks, errors)
+        assert math.isnan(slope) and err == math.inf
+    slope, err = runner.fit_slope((1, 2, 4), (1.0, 0.5, 0.25))
+    assert slope == pytest.approx(-1.0, rel=1e-12) and err == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", ["4,4", "1,4", "4"])
+def test_run_without_a_slope_exits_0_with_a_summary_row(desk1_path, tmp_path, capsys, k):
+    out = tmp_path / "out"
+    argv = ["run", "--config", desk1_path, "--out", str(out), "--j", "0:1", "--restarts", "1"]
+    samples = "4000" if k == "4,4" else "4"  # 4 points at k=4 quantize to zero error
+    assert cli.main(argv + ["--k", k, "--samples", samples]) == 0
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert len(summary) == 2
+    _, _, slope, slope_err, band_ratio, passed = summary[1].split(",")
+    assert (slope, slope_err, passed) == ("nan", "inf", "true")
+    assert band_ratio == ("1" if k == "4,4" else "inf")
+
+
 def test_run_bad_config_exits_2(bad_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", "--config", bad_config, "--out", str(out)] + SMALL_RUN)
@@ -233,6 +259,24 @@ def test_certify_stdout_is_byte_identical(desk1_path, tmp_path, capsys, carpet, 
     cli.main(["certify", "--config", path, "--r", r, "--j", "0:6"])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGESTS[(carpet, r)]
+
+
+def test_public_names_resolve():
+    import carpetquant
+
+    for info in pkgutil.iter_modules(carpetquant.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"carpetquant.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
+    # every name the package re-exports is the one its module defines
+    tree = ast.parse(Path(carpetquant.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"carpetquant.{node.module}")
+            for alias in node.names:
+                assert getattr(carpetquant, alias.name) is getattr(module, alias.name)
 
 
 def test_python_dash_m_runs_the_cli(desk1_path):

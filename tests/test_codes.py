@@ -1,6 +1,6 @@
 """Integer word codes against word-by-word reference walks, bit for bit."""
 
-import math
+import dataclasses
 import random
 
 import numpy as np
@@ -10,73 +10,20 @@ from hypothesis import strategies as st
 
 import carpetquant as cq
 from carpetquant import Word, codes
+from carpetquant.antichain import S2_SAMPLES, _evenly_spaced, _log_epsilon
 from carpetquant.runner import _certificate_rows
+from reference_walks import (
+    encode,
+    gamma_families,
+    reference_all_words,
+    reference_build_upsilon,
+    reference_gamma_pairs,
+    reference_l1_l2,
+    reference_s2_family,
+    s2_families,
+)
 
 TIE = {"m": 2, "n": 4, "entries": [[0, 0, "1/2"], [1, 1, "1/4"], [3, 1, "1/4"]]}
-
-
-def reference_build_upsilon(spec, consts, j, cap=cq.antichain.DEFAULT_CAP):
-    """Depth-first threshold walk over word tuples: (words, log weights) sorted canonically."""
-    threshold = j * math.log(consts.eta_lo)
-    rows, upgrades = cq.words.step_table(spec)
-    shift = -consts.r * math.log(spec.m)
-    flat = tuple((jj, lq + shift) for jj, lq in rows)
-    out_words, out_logw = [], []
-    stack = [((), (), 0.0)]
-    while stack:
-        a, b, lw = stack.pop()
-        if lw < threshold:
-            out_words.append(Word(a, b))
-            out_logw.append(lw)
-            if len(out_words) > cap:
-                raise cq.CapExceeded(cap, len(out_words), "weight-threshold antichain")
-            continue
-        if cq.words.ell_steps(spec, len(a) + len(b)):
-            j_head, tail = b[0], b[1:]
-            for i, up in upgrades[j_head]:
-                a2 = a + ((i, j_head),)
-                for jj, step in flat:
-                    stack.append((a2, tail + (jj,), lw + up + step))
-        else:
-            for jj, step in flat:
-                stack.append((a, b + (jj,), lw + step))
-    paired = sorted(zip(out_words, out_logw), key=lambda t: (cq.order(t[0]), t[0].a, t[0].b))
-    return tuple(w for w, _ in paired), tuple(lw for _, lw in paired)
-
-
-def reference_all_words(spec, k):
-    level = [cq.ROOT]
-    for _ in range(k):
-        level = [c for w in level for c in cq.children(spec, w)]
-    return level
-
-
-def reference_l1_l2(spec, consts, ups, cap=cq.antichain.DEFAULT_CAP):
-    """Glued level and core built word by word: (l1, l2, gamma sizes)."""
-    sl = cq.slices(ups)
-    k1 = sl.k1
-    lam = sl.at(k1)
-    pw = cq.product_weights(spec, consts)
-    l1, sizes = list(lam), []
-    for tau in reference_all_words(spec, k1):
-        if tau in lam:
-            continue
-        fam = cq.build_gamma_tau(spec, consts, pw, ups.j, k1, tau, cap=cap)
-        sizes.append(len(fam.pairs))
-        l1.extend(cq.glue(tau, pair) for pair in fam.pairs)
-        if len(l1) > cap:
-            raise cq.CapExceeded(cap, len(l1), "glued level")
-    member = set(l1)
-    core = set()
-    for rho in l1:
-        best = w = rho
-        while cq.order(w) > k1:
-            w = cq.flatten(spec, w)
-            if w in member:
-                best = w
-        core.add(best)
-    l2 = tuple(sorted(core, key=lambda w: (cq.order(w), w.a, w.b)))
-    return tuple(l1), l2, tuple(sizes)
 
 
 def outcome(fn, *args, **kwargs):
@@ -125,6 +72,22 @@ def test_frontier_matches_reference_walks(spec, r, j):
     assert (res.l1, res.l2, res.gamma_sizes) == want
     assert res.tau_count == len(want[2])
 
+    # the batched s2 walk at certify's sampled anchors, member by member; with
+    # H2 = 1 the cut ties each anchor's own log energy, and a tie keeps
+    sampled = [got.words[i] for i in _evenly_spaced(range(got.psi), S2_SAMPLES)]
+    for c in (consts, dataclasses.replace(consts, H2=1.0)):
+        want = [reference_s2_family(spec, c, sigma) for sigma in sampled]
+        assert s2_families(spec, c, sampled) == want
+
+    # the batched pair walk: every distinct quota's pairs, log W and order
+    k1 = got.codes.blocks[0].k
+    lam = set(got.words[: len(got.codes.blocks[0].a)])
+    taus = [tau for tau in reference_all_words(spec, k1) if tau not in lam]
+    eps = sorted({_log_epsilon(spec, consts, j, tau) for tau in taus})
+    pw = cq.product_weights(spec, consts)
+    want = [reference_gamma_pairs(spec, pw, k1, e, cap) for e in eps]
+    assert gamma_families(spec, pw, k1, eps, cap) == [(list(p), list(w)) for p, w in want]
+
 
 def test_upsilon_cap_error_carries_a_lower_bound(desk1, consts2):
     with pytest.raises(cq.CapExceeded) as err:
@@ -139,7 +102,7 @@ def test_code_steps_match_word_steps(desk1):
             blk = codes.all_codes(spec, k)
             words = reference_all_words(spec, k)
             assert codes.decode(spec, blk) == words
-            a, b = codes.encode(spec, words)
+            a, b = encode(spec, words)
             assert (a.tolist(), b.tolist()) == (blk.a.tolist(), blk.b.tolist())
             # keys increase exactly in the canonical order
             by_key = [words[i] for i in np.argsort(codes.keys(spec, blk), kind="stable")]

@@ -5,6 +5,14 @@ import pytest
 
 import carpetquant as cq
 from carpetquant import CylinderPair, Word
+from reference_walks import (
+    aligned_children,
+    is_aligned,
+    log_pair_energy,
+    pair_levels,
+    paired_flatten,
+    s1_family,
+)
 
 
 def test_tilde_weights_are_distributions(pw2):
@@ -15,7 +23,7 @@ def test_tilde_weights_are_distributions(pw2):
 
 
 def test_empty_pair_mass(pw2):
-    assert cq.w_mass(pw2, cq.EMPTY_PAIR) == 1.0
+    assert cq.w_mass(pw2, CylinderPair((), ())) == 1.0
 
 
 def test_embed_example(desk1, consts2, pw2):
@@ -41,7 +49,7 @@ def test_embed_sandwich_exhaustive(desk1, consts2, pw2):
 def test_pair_energy_matches_word_energy(desk1, consts2):
     for k in range(1, 6):
         for w in cq.all_words(desk1, k):
-            assert cq.log_pair_energy(desk1, consts2, cq.embed(w)) == pytest.approx(
+            assert log_pair_energy(desk1, consts2, cq.embed(w)) == pytest.approx(
                 cq.log_energy(desk1, consts2, w), rel=1e-12
             )
 
@@ -49,70 +57,48 @@ def test_pair_energy_matches_word_energy(desk1, consts2):
 def test_alignment_of_embedded_words(desk1):
     for k in range(1, 7):
         for w in cq.all_words(desk1, k):
-            assert cq.is_aligned(desk1, cq.embed(w), 0)
+            assert is_aligned(desk1, cq.embed(w), 0)
 
 
 def test_aligned_children_partition_mass(desk1, pw2):
     for offset in (0, 3, 5):
-        level = [cq.EMPTY_PAIR]
-        for _ in range(4):
-            nxt = []
-            for pair in level:
-                kids = cq.aligned_children(desk1, pair, offset)
-                total = math.fsum(cq.w_mass(pw2, c) for c in kids)
+        levels = pair_levels(desk1, pw2, offset, 4)
+        for (_, pairs, _), (parent, kids, _) in zip(levels, levels[1:]):
+            for i, pair in enumerate(pairs):
+                mine = [c for c, p in zip(kids, parent.tolist()) if p == i]
+                assert mine == aligned_children(desk1, pair, offset)
+                total = math.fsum(cq.w_mass(pw2, c) for c in mine)
                 assert total == pytest.approx(cq.w_mass(pw2, pair), rel=1e-12)
-                assert all(cq.is_aligned(desk1, c, offset) for c in kids)
-                nxt.extend(kids)
-            level = nxt
+                assert all(is_aligned(desk1, c, offset) for c in mine)
 
 
 def test_gamma_h_is_partition(desk1, pw2):
+    levels = pair_levels(desk1, pw2, 0, 4)
     for h in range(0, 5):
-        level = cq.gamma_h(desk1, cq.EMPTY_PAIR, h, offset=0)
+        level = levels[h][1]
         assert math.fsum(cq.w_mass(pw2, c) for c in level) == pytest.approx(
             1.0, abs=1e-12
         )
         assert len(level) == len(set(level))
 
 
-def test_gamma_h_rejects_misaligned(desk1):
-    bad = CylinderPair(((1, 1),), ())  # at offset 0, order 1 demands no cells
-    with pytest.raises(cq.MisalignedPair):
-        cq.gamma_h(desk1, bad, 1, offset=0)
-
-
-def test_paired_flatten_inverts_extension(desk1):
+def test_paired_flatten_inverts_extension(desk1, pw2):
     for offset in (0, 5):
-        level = [cq.EMPTY_PAIR]
-        for _ in range(5):
-            nxt = []
-            for pair in level:
-                for c in cq.aligned_children(desk1, pair, offset):
-                    assert cq.paired_flatten(desk1, c, offset) == pair
-                    nxt.append(c)
-            level = nxt
-
-
-def test_paired_flatten_errors(desk1):
-    with pytest.raises(cq.EmptyPair):
-        cq.paired_flatten(desk1, cq.EMPTY_PAIR, 0)
-    with pytest.raises(cq.MisalignedPair):
-        cq.paired_flatten(desk1, CylinderPair(((1, 1),), ()), 0)
+        levels = pair_levels(desk1, pw2, offset, 5)
+        for (_, pairs, _), (parent, kids, _) in zip(levels, levels[1:]):
+            for c, p in zip(kids, parent.tolist()):
+                assert paired_flatten(desk1, c, offset) == pairs[p]
 
 
 def test_pair_step_sandwich(desk1, consts2, pw2):
     """One aligned step loses at most the P^-1 eta^t factor, raw comparisons."""
     lo_factor = consts2.eta_lo**consts2.t_r / consts2.P
-    level = [cq.EMPTY_PAIR]
-    for _ in range(6):
-        nxt = []
-        for pair in level:
-            w_parent = cq.w_mass(pw2, pair)
-            for c in cq.aligned_children(desk1, pair, 5):
-                w_child = cq.w_mass(pw2, c)
-                assert lo_factor * w_parent <= w_child < w_parent
-                nxt.append(c)
-        level = nxt
+    levels = pair_levels(desk1, pw2, 5, 6)
+    for (_, pairs, _), (parent, kids, _) in zip(levels, levels[1:]):
+        for c, p in zip(kids, parent.tolist()):
+            w_parent = cq.w_mass(pw2, pairs[p])
+            w_child = cq.w_mass(pw2, c)
+            assert lo_factor * w_parent <= w_child < w_parent
 
 
 def reference_s1_scan(spec, pw, words, k_min):
@@ -148,7 +134,7 @@ def test_s1_family_matches_scan(desk1, consts2, pw2, upsilon):
     assert sorted(scan.anchor.tolist()) == list(range(ups.psi))
     # brute force at every anchor must reproduce the scan's aggregates
     for anchor, (w_sum, gap) in scan_items(ups, scan):
-        fam = cq.s1_family(desk1, consts2, ups.words, anchor)
+        fam = s1_family(desk1, consts2, ups.words, anchor)
         brute = math.fsum(cq.w_mass(pw2, cq.embed(t)) for t in fam)
         assert brute == pytest.approx(w_sum, rel=1e-12)
         assert max(cq.order(t) - cq.order(anchor) for t in fam) == gap
@@ -164,7 +150,7 @@ def test_s1_scan_matches_word_walk(desk1, config, r):
     pw = cq.product_weights(spec, consts)
     for j in range(0, 6):
         ups = cq.build_upsilon(spec, consts, j)
-        want = reference_s1_scan(spec, pw, ups.words, cq.slices(ups).k1)
+        want = reference_s1_scan(spec, pw, ups.words, ups.codes.blocks[0].k)
         # same anchors in the same first-met order, bit-equal sums
         assert scan_items(ups, cq.s1_scan(spec, pw, ups.codes)) == list(want.items())
 
