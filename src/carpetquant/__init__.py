@@ -18,35 +18,25 @@ from .antichain import (
     build_l1_l2,
     build_upsilon,
     certify,
-    glue,
     s2_family,
 )
 from .carpet import (
     BadProbabilities,
     CarpetError,
     CarpetSpec,
-    CellNotInG,
     DegenerateGrid,
     DuplicateCell,
     IndexSets,
     ThinDigitSet,
-    apply_map,
     cell_probabilities,
     derive_indices,
     load_config,
     make_spec,
     validate_spec,
 )
+from .codes import BadWord, Word, ell, encode_word
 from .constants import NoBracket, SpectralConstants, constants, lhs, solve_sr
-from .product import (
-    CylinderPair,
-    ProductWeights,
-    embed,
-    log_w_mass,
-    product_weights,
-    s1_scan,
-    w_mass,
-)
+from .product import ProductWeights, product_weights, s1_scan
 from .quantize import (
     BadK,
     Codebook,
@@ -61,29 +51,5 @@ from .quantize import (
     theoretical_proxy,
 )
 from .runner import ConfigError, RunConfig, StageError, fit_slope, run
-from .words import (
-    ROOT,
-    ApproxSquare,
-    BadWord,
-    EmptyWord,
-    Relation,
-    Word,
-    all_words,
-    children,
-    compare,
-    decode_word,
-    ell,
-    encode_word,
-    energy,
-    flatten,
-    log_energy,
-    log_measure,
-    log_weight,
-    measure,
-    order,
-    rect,
-    validate_word,
-    weight,
-)
 
 __version__ = "0.1.0"

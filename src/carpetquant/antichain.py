@@ -15,34 +15,16 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import codes
 from .carpet import CarpetSpec, derive_indices
-from .codes import Block, WordCodes
+from .codes import Block, Word, WordCodes, ell, ell_steps, encode_word
 from .constants import SpectralConstants
-from .product import (
-    CylinderPair,
-    ProductWeights,
-    embed,
-    log_w_mass,
-    product_weights,
-    s1_scan,
-    w_mass,
-)
-from .words import (
-    Word,
-    ell,
-    ell_steps,
-    encode_word,
-    energy,
-    log_energy,
-    log_weight,
-    step_table,
-)
+from .product import ProductWeights, product_weights, s1_scan
 
 __all__ = [
     "DEFAULT_CAP",
@@ -87,7 +69,7 @@ class Antichain:
     """A finite maximal antichain of words, held as canonical word codes.
 
     ``log_w`` holds the log weights in the canonical word order; ``words``
-    and ``log_weights`` decode them on first use.
+    decodes the members.
     """
 
     j: int
@@ -102,10 +84,6 @@ class Antichain:
     @property
     def words(self) -> tuple[Word, ...]:
         return self.codes.words
-
-    @cached_property
-    def log_weights(self) -> tuple[float, ...]:
-        return tuple(self.log_w.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +118,26 @@ class L1L2Result:
         return len(self.l2_codes)
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """libm's exp of every entry (np.exp can differ from it in the last bit).
+
+    Count-class values repeat, so exp is taken once per distinct value.
+    """
+    u, inverse = np.unique(x, return_inverse=True)
+    return np.array(list(map(math.exp, u.tolist())))[inverse.reshape(-1)]
+
+
+def _log_weight(spec: CarpetSpec, r: float, words: WordCodes) -> np.ndarray:
+    """log of every word's weight mu_w m^(-|w| r), its log mass taken per count class."""
+    tab = codes.tables(spec)
+    return words.log_sum(tab.log_p, tab.log_q) - words.orders() * r * math.log(spec.m)
+
+
+def _log_energy(spec: CarpetSpec, consts: SpectralConstants, words: WordCodes) -> np.ndarray:
+    """log of every word's energy: its weight raised to the moment exponent t_r."""
+    return consts.t_r * _log_weight(spec, consts.r, words)
+
+
 def build_upsilon(
     spec: CarpetSpec,
     consts: SpectralConstants,
@@ -159,8 +157,8 @@ def build_upsilon(
         raise ValueError(f"threshold level must be >= 0, got {j}")
     threshold = j * math.log(consts.eta_lo)
     shift = -consts.r * math.log(spec.m)
-    step = np.array([lq + shift for _, lq in step_table(spec).rows])
-    up = codes.tables(spec).up
+    tab = codes.tables(spec)
+    step = tab.log_q + shift
     front, lw = codes.root(), np.zeros(1)
     found: list[tuple[Block, np.ndarray]] = []
     count = 0
@@ -176,7 +174,7 @@ def build_upsilon(
         if not len(lw):
             break
         front, parent, cell, row = codes.expand(spec, front)
-        lw = lw[parent] if cell is None else lw[parent] + up[cell]
+        lw = lw[parent] if cell is None else lw[parent] + tab.up[cell]
         lw = lw + step[row]
     members, perms = WordCodes.from_blocks(spec, [blk for blk, _ in found])
     log_w = np.concatenate([w[p] for (_, w), p in zip(found, perms)])
@@ -192,12 +190,12 @@ def s2_family(
     subtree.  One level-synchronous walk over ``codes.expand`` serves every
     anchor; a child's log energy is le + t*((up + lq) + shift) after an
     upgrade and le + t*(lq + shift) otherwise, as a depth-first walk adds it.
-    Returns the members, canonical, and each member's index in ``anchors``.
+    Returns the members, canonical, and each member's index in ``anchors``;
+    both are empty when every anchor falls below its own cut (H2 < 1).
     """
-    t, shift = consts.t_r, -consts.r * math.log(spec.m)
-    lq = np.array([v for _, v in step_table(spec).rows])
-    flat, upgrade = t * (lq + shift), t * ((codes.tables(spec).up[:, None] + lq) + shift)
-    base = anchors.values(partial(log_energy, spec, consts))
+    t, shift, tab = consts.t_r, -consts.r * math.log(spec.m), codes.tables(spec)
+    flat, upgrade = t * (tab.log_q + shift), t * ((tab.up[:, None] + tab.log_q) + shift)
+    base = _log_energy(spec, consts, anchors)
     cut = base - math.log(consts.H2)
     start = {blk.k: (blk, p) for blk, p in zip(anchors.blocks, anchors.pos)}
     k = min(start)
@@ -217,7 +215,8 @@ def s2_family(
         owner, le = owner[parent], le[parent] + (flat[row] if cell is None else upgrade[cell, row])
         k += 1
     members, perms = WordCodes.from_blocks(spec, [blk for blk, _ in found])
-    return members, np.concatenate([o[p] for (_, o), p in zip(found, perms)])
+    owner = [o[p] for (_, o), p in zip(found, perms)]
+    return members, np.concatenate(owner) if owner else np.zeros(0, dtype=np.int64)
 
 
 def _pair_step(
@@ -233,9 +232,9 @@ def _pair_step(
     tab, dt = codes.tables(spec), codes.code_dtype(spec, k + 1)
     if ell_steps(spec, k):
         digits = np.array([tab.cells.index((i, j)) for i, j, _ in spec.entries])
-        inc = np.array([pw.log_p_tilde[(i, j)] for i, j, _ in spec.entries])
+        inc = pw.log_p_tilde[digits]
     else:
-        digits, inc = tab.rows, np.array([pw.log_q_tilde[j] for j in tab.rows.tolist()])
+        digits, inc = tab.rows, pw.log_q_tilde
     parent = np.repeat(np.arange(len(lw)), len(digits))
     digit = np.tile(np.arange(len(digits)), len(lw))
     a, b = a.astype(dt)[parent], b.astype(dt)[parent]
@@ -293,18 +292,15 @@ def _gamma_pairs(
     return GammaPairs(fam[order], a[order], b[order], cells[order], depth[order], log_w[order])
 
 
-def _log_epsilon(spec: CarpetSpec, consts: SpectralConstants, j: int, tau: Word) -> float:
-    """log of the anchor's quota eta_lo^(j t) / energy(tau); BadTau below the threshold."""
+def _log_epsilon(
+    spec: CarpetSpec, consts: SpectralConstants, j: int, taus: WordCodes
+) -> np.ndarray:
+    """log of each anchor's quota eta_lo^(j t) / energy(tau); BadTau below the threshold."""
     log_eta = math.log(consts.eta_lo)
-    lw_tau = log_weight(spec, consts.r, tau)
-    if lw_tau < j * log_eta:
+    lw_tau = _log_weight(spec, consts.r, taus)
+    if (lw_tau < j * log_eta).any():
         raise BadTau("anchor sits below the antichain threshold; no quota to fill")
     return j * consts.t_r * log_eta - consts.t_r * lw_tau
-
-
-def glue(tau: Word, pair: CylinderPair) -> Word:
-    """Concatenate an anchor word with a pair's blocks into one location code."""
-    return Word(tau.a + pair.sigma, tau.b + pair.omega)
 
 
 def _member_ancestors(
@@ -335,7 +331,7 @@ def build_l1_l2(
     """Glue per-anchor families into one level, then thin to the core.
 
     l1 = the antichain's own minimum-order slice plus, for every order-k1
-    word still above the threshold (in ``all_words`` order), its glued
+    word still above the threshold (in ``codes.all_codes`` order), its glued
     threshold family.  l2 keeps, for each l1 word, the topmost l1 word whose
     square contains it; the result is pairwise non-overlapping (containment
     between approximate squares coincides with flattening ancestry).  A
@@ -350,7 +346,7 @@ def build_l1_l2(
     taus = codes.all_codes(spec, k1)
     taus = taus.take(codes.lookup(codes.keys(spec, lam), codes.keys(spec, taus)) < 0)
     tau_codes = WordCodes(spec, (taus,), (np.arange(len(taus.a)),))
-    log_eps = tau_codes.values(partial(_log_epsilon, spec, consts, j))
+    log_eps = _log_epsilon(spec, consts, j, tau_codes)
     eps, which = np.unique(log_eps, return_inverse=True)
     pairs = _gamma_pairs(spec, pw, k1, eps, cap)
     fam_size = np.bincount(pairs.family, minlength=len(eps))
@@ -373,7 +369,8 @@ def build_l1_l2(
         i = int(np.argmax(bad[pair]))
         p, d, ns = int(pair[i]), int(depth[i]), int(n_cells[i])
         cells, rows = codes.decode(spec, Block(d, pairs.a[p : p + 1], pairs.b[p : p + 1]), ns)[0]
-        misfit = glue(codes.decode(spec, taus.take(tau[i : i + 1]))[0], CylinderPair(cells, rows))
+        head = codes.decode(spec, taus.take(tau[i : i + 1]))[0]
+        misfit = Word(head.a + cells, head.b + rows)
     parts: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {
         k1: [(lam.a, lam.b, np.arange(len(lam.a)))]
     }
@@ -573,8 +570,10 @@ def certify(
         add(_check(j, "count-bound", ups.psi * math.exp((j + 1) * t * log_eta), "<=", consts.H1))
 
         # overlap family: W-mass ratio and order gap at every anchor
-        scan = s1_scan(spec, pw, members)
-        ratio = scan.w_sum / members.values(lambda w: w_mass(pw, embed(w)))[scan.anchor]
+        log_wm = members.log_sum(pw.log_p_tilde, pw.log_q_tilde)
+        w_mass = _exp(log_wm)
+        scan = s1_scan(spec, members, w_mass)
+        ratio = scan.w_sum / w_mass[scan.anchor]
         i_s1 = int(np.argmax(ratio))
         s1_max_ratio = float(ratio[i_s1])
         s1_max_gap = int(scan.gap.max())
@@ -586,8 +585,7 @@ def certify(
         aligned = np.flatnonzero(orders >= k_aligned)
         sandwich_checked = len(aligned)
         if sandwich_checked:
-            lwm = members.values(lambda w: log_w_mass(pw, embed(w)))
-            gap = lwm[aligned] - t * lws[aligned]
+            gap = log_wm[aligned] - t * lws[aligned]
             i_lo, i_hi = int(np.argmin(gap)), int(np.argmax(gap))
             sw_lo, sw_hi = at(aligned[i_lo]), at(aligned[i_hi])
             add(_check(j, "embed-sandwich-lower", gap[i_lo], ">=", -LOG_SLACK, sw_lo))
@@ -600,12 +598,13 @@ def certify(
             spec, [blk.take(pick) for blk, pick in zip(members.blocks, picks) if pick.any()]
         )
         fam, owner = s2_family(spec, consts, anchors)
-        e_fam = fam.values(partial(energy, spec, consts))[np.argsort(owner, kind="stable")]
-        sums = [math.fsum(e.tolist()) for e in np.split(e_fam, np.cumsum(np.bincount(owner))[:-1])]
-        s2_ratios = np.array(sums) / anchors.values(partial(energy, spec, consts))
+        e_fam = _exp(_log_energy(spec, consts, fam))[np.argsort(owner, kind="stable")]
+        ends = np.cumsum(np.bincount(owner, minlength=len(anchors)))[:-1]
+        sums = [math.fsum(e.tolist()) for e in np.split(e_fam, ends)]
+        s2_ratios = np.array(sums) / _exp(_log_energy(spec, consts, anchors))
         i_s2 = int(np.argmax(s2_ratios))
         s2_max_ratio = float(s2_ratios[i_s2])
-        s2_max_gap = int((fam.orders() - anchors.orders()[owner]).max())
+        s2_max_gap = int(np.max(fam.orders() - anchors.orders()[owner], initial=0))
         s2_wit = at(sampled[i_s2])
         add(_check(j, "s2-mass", s2_max_ratio, "<=", consts.H3 * (1.0 + LOG_SLACK), s2_wit))
         add(_check(j, "s2-gap", float(s2_max_gap), "<=", float(consts.M)))
@@ -622,7 +621,7 @@ def certify(
         # energy band of the glued level
         e_lo = math.log(consts.Q) - 2.0 * math.log(consts.P) + (j + 1) * t * log_eta
         e_hi = log_pq + j * t * log_eta
-        l1_energy = res.l1_codes.values(lambda w: log_energy(spec, consts, w))
+        l1_energy = _log_energy(spec, consts, res.l1_codes)
         i_lo, i_hi = int(np.argmin(l1_energy)), int(np.argmax(l1_energy))
         l1_wit_lo, l1_wit_hi = at(i_lo, res.l1_codes), at(i_hi, res.l1_codes)
         add(_check(j, "l1-energy-lower", l1_energy[i_lo] - e_lo, ">=", -LOG_SLACK, l1_wit_lo))
@@ -638,7 +637,7 @@ def certify(
         add(_check(j, "l2-antichain", 0.0 if core_wit is None else 1.0, "<=", 0.0, core_wit))
 
         # core energy bracket and count band
-        l2_energy = math.fsum(core.values(lambda w: energy(spec, consts, w)).tolist())
+        l2_energy = math.fsum(_exp(_log_energy(spec, consts, core)).tolist())
         s10_bound = consts.Q / (consts.H3 * consts.P)
         add(_check(j, "l2-energy-lower", l2_energy, ">=", s10_bound * (1.0 - LOG_SLACK)))
         add(_check(j, "l2-energy-upper", l2_energy, "<=", 1.0 + LOG_SLACK))
@@ -667,14 +666,20 @@ def certify(
             )
         )
 
-    # cross-level laws
+    # cross-level laws; psi-growth is decided in exact integers, because
+    # (mn)^H1 leaves the float range at large r, where its bound prints as inf
     cross: list[CertificateCheck] = []
-    growth_factor = float(spec.m * spec.n) ** consts.H1
+    growth = (spec.m * spec.n) ** consts.H1
+    try:
+        growth_factor = float(spec.m * spec.n) ** consts.H1
+    except OverflowError:
+        growth_factor = math.inf
     for j in j_list:
         if j + 1 in psi_by_j:
             a, b = psi_by_j[j], psi_by_j[j + 1]
             cross.append(_check(j, "psi-monotone", float(b), ">=", float(a)))
-            cross.append(_check(j, "psi-growth", float(b), "<=", growth_factor * a))
+            bound = growth_factor * a
+            cross.append(CertificateCheck(j, "psi-growth", float(b), "<=", bound, b <= growth * a))
 
     h6 = 1
     ratio_log = math.log(consts.H5) - math.log(consts.H4)

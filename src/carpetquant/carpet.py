@@ -25,14 +25,12 @@ __all__ = [
     "ThinDigitSet",
     "BadProbabilities",
     "DuplicateCell",
-    "CellNotInG",
     "CarpetSpec",
     "IndexSets",
     "make_spec",
     "load_config",
     "validate_spec",
     "derive_indices",
-    "apply_map",
 ]
 
 PROB_SUM_TOL = 1e-12
@@ -56,10 +54,6 @@ class BadProbabilities(CarpetError):
 
 class DuplicateCell(CarpetError):
     """The same cell appears more than once."""
-
-
-class CellNotInG(CarpetError):
-    """A map was requested for a cell that is not occupied."""
 
 
 @dataclass(frozen=True)
@@ -97,12 +91,6 @@ class IndexSets:
         for row, cols in self.g_xj:
             if row == j:
                 return cols
-        raise KeyError(j)
-
-    def q_of(self, j: int) -> float:
-        for row, mass in self.q:
-            if row == j:
-                return mass
         raise KeyError(j)
 
 
@@ -213,11 +201,3 @@ def cell_probabilities(spec: CarpetSpec) -> dict[tuple[int, int], float]:
     """Cell -> probability lookup (cached; treat as read-only)."""
     return {(i, j): p for i, j, p in spec.entries}
 
-
-def apply_map(spec: CarpetSpec, cell: tuple[int, int], point: tuple[float, float]) -> tuple[float, float]:
-    """Apply the affine contraction of an occupied cell to a point of the unit square."""
-    if cell not in cell_probabilities(spec):
-        raise CellNotInG(f"cell {cell} is not an occupied cell of the carpet")
-    i, j = cell
-    x, y = point
-    return ((x + i) / spec.n, (y + j) / spec.m)

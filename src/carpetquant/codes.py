@@ -1,34 +1,48 @@
-"""Integer word codes: whole levels of location codes as numpy arrays.
+"""Integer word codes: the word format, whole levels at a time as numpy arrays.
 
-An order-k word (a, b) is coded by two integers.  A reads the ell(k) cells of
-a as base-G digits, G being the number of occupied cells ranked by (i, j);
-B reads the k - ell(k) row digits of b in base m.  Within one order, sorting
-by (A, B) is the canonical (a, b) order, and refinement, flattening and
-prefixes are integer arithmetic on whole arrays.
+A word of order k is a pair (a, b): a holds ell(k) full cells (i, j), b holds
+k - ell(k) trailing row digits, where ell(k) = floor(k * log m / log n).  The
+word codes an approximate square of the carpet: a rectangle of width n^-ell(k)
+and height m^-k, i.e. as close to square as the grid allows.  Refinement adds
+one row digit and, when ell increments, upgrades the oldest row digit to a
+full cell.
+
+The word is coded by two integers.  A reads the ell(k) cells of a as base-G
+digits, G being the number of occupied cells ranked by (i, j); B reads the
+k - ell(k) row digits of b in base m.  Within one order, sorting by (A, B) is
+the canonical (a, b) order, and refinement, flattening and prefixes are
+integer arithmetic on whole arrays.  Tuples (``Word``) are built only by
+``decode``, to name words.
 
 Codes sit in int64 arrays while G^ell(k) m^(k - ell(k)) stays below
 INT_LIMIT; past it the same code runs on dtype=object arrays of Python ints.
-Quantities that are correctly rounded sums over a word's digits (math.fsum of
-log probabilities) depend only on how often each cell and row digit occurs,
-so ``values`` evaluates them once per distinct count vector on a
-representative word, with the scalar functions of ``words``.
+Every per-word quantity the certificates use is a correctly rounded sum over
+the word's digits (math.fsum of per-digit logs), so it depends only on how
+often each cell and row digit occurs: ``WordCodes.log_sum`` takes it once per
+distinct count vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .carpet import CarpetSpec
-from .words import Word, ell, ell_steps, log_tables, step_table
+from .carpet import CarpetSpec, cell_probabilities, derive_indices
 
 __all__ = [
     "INT_LIMIT",
+    "BadWord",
+    "Word",
     "Block",
     "WordCodes",
+    "ell",
+    "ell_steps",
+    "tables",
+    "encode_word",
     "code_dtype",
     "expand",
     "flatten",
@@ -44,25 +58,90 @@ __all__ = [
 INT_LIMIT = 2**62
 
 
+class BadWord(ValueError):
+    """Word order out of range."""
+
+
+class Word(NamedTuple):
+    """Location code: full cells in ``a``, trailing row digits in ``b``."""
+
+    a: tuple[tuple[int, int], ...]
+    b: tuple[int, ...]
+
+
+def encode_word(w: Word) -> str:
+    """Canonical text form ``a:(i,j)(i,j)|b:j j`` used in CSV witnesses."""
+    a = "".join(f"({i},{j})" for i, j in w.a)
+    b = " ".join(str(j) for j in w.b)
+    return f"a:{a}|b:{b}"
+
+
+# ell(k) must be exact: for grids whose side logs are rationally related
+# (m=2, n=8 say) the float floor of k*theta is off by one at exact multiples.
+# We keep, per grid, the largest t with n^t <= m^k using integer powers.
+_ELL_STATE: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
+
+
+def _ell_table(m: int, n: int, k: int) -> list[int]:
+    state = _ELL_STATE.get((m, n))
+    if state is None:
+        state = ([0], [n], [1])  # ell values, n^(ell[-1]+1), m^(len-1)
+        _ELL_STATE[(m, n)] = state
+    ells, npow, mpow = state
+    while len(ells) <= k:
+        mpow[0] *= m
+        t = ells[-1]
+        if npow[0] <= mpow[0]:
+            t += 1
+            npow[0] *= n
+        ells.append(t)
+    return ells
+
+
+def ell(spec: CarpetSpec, k: int) -> int:
+    """Number of full-cell digits of an order-k word: floor(k * log m / log n)."""
+    if k < 0:
+        raise BadWord(f"order must be >= 0, got {k}")
+    return _ell_table(spec.m, spec.n, k)[k]
+
+
+def ell_steps(spec: CarpetSpec, k: int) -> bool:
+    """True when refining an order-k word upgrades its oldest row digit: ell(k+1) > ell(k)."""
+    return ell(spec, k + 1) != ell(spec, k)
+
+
 class Tables(NamedTuple):
     cells: tuple[tuple[int, int], ...]  # occupied cells by rank
     cell_i: np.ndarray
     cell_j: np.ndarray
-    up: np.ndarray  # log p_ij - log q_j per cell rank
     rows: np.ndarray  # occupied row digits, ascending
+    log_p: np.ndarray  # log p_ij per cell rank
+    log_q: np.ndarray  # log q_j per occupied row
+    up: np.ndarray  # log p_ij - log q_j per cell rank
 
 
 @lru_cache(maxsize=None)
 def tables(spec: CarpetSpec) -> Tables:
-    """Cell ranks and per-digit arrays of a carpet (cached; treat as read-only)."""
+    """Cell ranks, occupied rows and their log probabilities (cached; treat as read-only).
+
+    The logs are libm's ``math.log``, so every sum built from them is the
+    float a word-by-word walk over the same logs gives.
+    """
     cells = tuple(sorted((i, j) for i, j, _ in spec.entries))
-    log_p, log_q = log_tables(spec)
+    prob = cell_probabilities(spec)
+    idx = derive_indices(spec)
+    rows = np.array(idx.g_y, dtype=np.int64)
+    cell_j = np.array([j for _, j in cells], dtype=np.int64)
+    log_p = np.array([math.log(prob[c]) for c in cells])
+    log_q = np.array([math.log(q) for _, q in idx.q])
     return Tables(
         cells=cells,
         cell_i=np.array([i for i, _ in cells], dtype=np.int64),
-        cell_j=np.array([j for _, j in cells], dtype=np.int64),
-        up=np.array([log_p[c] - log_q[c[1]] for c in cells]),
-        rows=np.array([j for j, _ in step_table(spec).rows], dtype=np.int64),
+        cell_j=cell_j,
+        rows=rows,
+        log_p=log_p,
+        log_q=log_q,
+        up=log_p - log_q[np.searchsorted(rows, cell_j)],
     )
 
 
@@ -93,10 +172,12 @@ def root() -> Block:
 
 
 def expand(spec: CarpetSpec, blk: Block):
-    """Children of every word, parent by parent in ``words.children`` order.
+    """Children of every word, parent by parent.
 
-    Returns (children, parent index, upgraded cell rank or None on a flat
-    step, index of the appended row digit in the occupied rows).
+    A parent's children run over the upgraded cell (by rank) on an upgrade
+    step, then over the appended row digit, ascending.  Returns (children,
+    parent index, upgraded cell rank or None on a flat step, index of the
+    appended row digit in the occupied rows).
     """
     t = tables(spec)
     m, nrows = spec.m, len(t.rows)
@@ -177,48 +258,48 @@ def decode(spec: CarpetSpec, blk: Block, cells: int | None = None) -> list[Word]
 
 
 def all_codes(spec: CarpetSpec, k: int) -> Block:
-    """Every order-k word, in ``words.all_words`` order."""
+    """Every order-k word, refined level by level from the root."""
     blk = root()
     for _ in range(k):
         blk = expand(spec, blk)[0]
     return blk
 
 
-def _count_classes(spec: CarpetSpec, blk: Block) -> tuple[np.ndarray, list[Word]]:
-    """Words grouped by digit counts: class of each word, one word per class.
+def _count_classes(spec: CarpetSpec, blk: Block) -> tuple[np.ndarray, list[list[int]]]:
+    """Words grouped by digit counts: class of each word, and each class's counts.
 
-    The class key adds base^c for every occurrence of digit c (cells first,
-    then row digits); no digit occurs more than k times, so base = k + 1
-    keeps the counts apart.
+    A count vector holds how often each cell rank, then each occupied row,
+    occurs.  The class key adds base^c for every occurrence of digit c; no
+    digit occurs more than k times, so base = k + 1 keeps the counts apart.
     """
     t = tables(spec)
     g, lk, base = len(t.cells), ell(spec, blk.k), blk.k + 1
-    width = g + spec.m
+    width = g + len(t.rows)
     dtype = np.int64 if base**width < INT_LIMIT else object
     weight = np.array([base**c for c in range(width)], dtype=dtype)
+    row_rank = np.zeros(spec.m, dtype=np.int64)
+    row_rank[t.rows] = np.arange(len(t.rows))
     key = np.zeros(len(blk.a), dtype=dtype)
     for col in _digits(blk.a, g, lk).T:
         key = key + weight[col]
     for col in _digits(blk.b, spec.m, blk.k - lk).T:
-        key = key + weight[g + col]
+        key = key + weight[g + row_rank[col]]
     uniq, inverse = np.unique(key, return_inverse=True)
-    reps = []
-    for u in uniq.tolist():
-        counts = [u // base**c % base for c in range(width)]
-        reps.append(
-            Word(
-                tuple(c for c, cnt in zip(t.cells, counts) for _ in range(cnt)),
-                tuple(j for j, cnt in enumerate(counts[g:]) for _ in range(cnt)),
-            )
-        )
-    return inverse.reshape(-1), reps
+    counts = [[u // base**c % base for c in range(width)] for u in uniq.tolist()]
+    return inverse.reshape(-1), counts
+
+
+def _fsum_counts(terms: list[float], counts: list[int]) -> float:
+    return math.fsum([v for v, c in zip(terms, counts) for _ in range(c)])
 
 
 def centers(spec: CarpetSpec, blk: Block) -> list[tuple[float, float]]:
-    """Centres of the approximate squares, as ``ApproxSquare.center`` rounds them.
+    """Centres of the approximate squares, each coordinate correctly rounded.
 
-    (2p + 1) / (2 n^ell) is Python int true division, which is correctly
-    rounded, so it equals float(Fraction(2p + 1, 2 n^ell)).
+    The square of an order-k word is [p, p + 1] / n^ell(k) by [q, q + 1] / m^k,
+    p reading the cells' columns base n and q every row digit (cells first)
+    base m.  (2p + 1) / (2 n^ell) is Python int true division, which is
+    correctly rounded, so it equals float(Fraction(2p + 1, 2 n^ell)).
     """
     t = tables(spec)
     lk = ell(spec, blk.k)
@@ -269,20 +350,30 @@ class WordCodes:
 
     def gather(self, per_block: list[np.ndarray]) -> np.ndarray:
         """Per-block arrays put into sequence order."""
-        out = np.empty(len(self), dtype=per_block[0].dtype)
+        out = np.empty(len(self), dtype=per_block[0].dtype if per_block else float)
         for p, values in zip(self.pos, per_block):
             out[p] = values
         return out
 
     @cached_property
-    def _classes(self) -> list[tuple[np.ndarray, list[Word]]]:
+    def _classes(self) -> list[tuple[np.ndarray, list[list[int]]]]:
         return [_count_classes(self.spec, blk) for blk in self.blocks]
 
-    def values(self, fn: Callable[[Word], float]) -> np.ndarray:
-        """fn of every word, in sequence order, for fn that depends only on digit counts."""
-        return self.gather(
-            [np.array([fn(w) for w in reps])[inv] for inv, reps in self._classes]
-        )
+    def log_sum(self, cell_logs: np.ndarray, row_logs: np.ndarray) -> np.ndarray:
+        """fsum of the cells' terms plus fsum of the row digits' terms, for every word.
+
+        ``cell_logs`` holds one term per cell rank, ``row_logs`` one per
+        occupied row (in ``tables(spec).rows`` order).  math.fsum is correctly
+        rounded, so the value depends only on how often each digit occurs and
+        is taken once per count vector.  Returns floats in sequence order.
+        """
+        g = len(cell_logs)
+        cells, rows = cell_logs.tolist(), row_logs.tolist()
+        per_block = []
+        for inverse, counts in self._classes:
+            sums = [_fsum_counts(cells, c[:g]) + _fsum_counts(rows, c[g:]) for c in counts]
+            per_block.append(np.array(sums)[inverse])
+        return self.gather(per_block)
 
     @cached_property
     def words(self) -> tuple[Word, ...]:

@@ -13,9 +13,27 @@ import random
 import time
 
 import carpetquant as cq
-from carpetquant.antichain import _log_epsilon
 from carpetquant.runner import RunConfig, run
-from reference_walks import gamma_families, pair_levels, paired_flatten, s1_family, s2_families
+from reference_walks import (
+    CylinderPair,
+    embed,
+    energy,
+    gamma_families,
+    log_energy,
+    log_w_mass,
+    measure,
+    order,
+    pair_levels,
+    paired_flatten,
+    rect,
+    reference_all_words,
+    reference_log_epsilon,
+    reference_product_weights,
+    s1_family,
+    s2_families,
+    validate_word,
+    w_mass,
+)
 
 LOG_SLACK = 1e-11
 
@@ -98,11 +116,11 @@ def test_criterion_2_antichain_certificates(desk1, consts2, upsilon):
             ups = upsilon(j)
             psi[j] = ups.psi
             lo, hi = (j + 1) * log_eta, j * log_eta
-            assert all(lo <= lw < hi for lw in ups.log_weights)
-            mass = math.fsum(cq.measure(desk1, w) for w in ups.words)
+            assert all(lo <= lw < hi for lw in ups.log_w.tolist())
+            mass = math.fsum(measure(desk1, w) for w in ups.words)
             assert abs(mass - 1.0) <= 1e-12
             total_energy = math.fsum(
-                math.exp(consts2.t_r * lw) for lw in ups.log_weights
+                math.exp(consts2.t_r * lw) for lw in ups.log_w.tolist()
             )
             assert total_energy <= consts2.H1
         growth = (desk1.m * desk1.n) ** consts2.H1
@@ -110,17 +128,18 @@ def test_criterion_2_antichain_certificates(desk1, consts2, upsilon):
             assert psi[j] <= psi[j + 1] <= growth * psi[j]
 
 
-def test_criterion_3_overlap_family(desk1, consts2, pw2, upsilon):
+def test_criterion_3_overlap_family(desk1, consts2, upsilon):
     with Budget(3, "overlap family mass and gap", 30.0):
+        pw = reference_product_weights(desk1, consts2)
         for j in range(0, 6):
             ups = upsilon(j)
-            w_of = {w: cq.w_mass(pw2, cq.embed(w)) for w in ups.words}
+            w_of = {w: w_mass(pw, embed(w)) for w in ups.words}
             for sigma in ups.words:
                 fam = s1_family(desk1, consts2, ups.words, sigma)
                 assert sigma in fam
                 total = math.fsum(w_of[w] for w in fam)
                 assert total <= consts2.H1 * w_of[sigma]
-                gap = max(cq.order(w) for w in fam) - cq.order(sigma)
+                gap = max(order(w) for w in fam) - order(sigma)
                 assert gap <= consts2.H1
 
 
@@ -129,10 +148,11 @@ def test_criterion_4_sandwiches(desk1, consts2, pw2, upsilon):
         # energy vs product mass, every word, aligned orders up to 8
         k_min = math.ceil(1.0 / cq.derive_indices(desk1).theta)
         log_pq = math.log(consts2.P) - math.log(consts2.Q)
+        pw = reference_product_weights(desk1, consts2)
         for k in range(k_min, 9):
-            for w in cq.all_words(desk1, k):
-                le = cq.log_energy(desk1, consts2, w)
-                lw = cq.log_w_mass(pw2, cq.embed(w))
+            for w in reference_all_words(desk1, k):
+                le = log_energy(desk1, consts2, w)
+                lw = log_w_mass(pw, embed(w))
                 assert le <= lw <= le + log_pq
 
         # parent step bound, every aligned pair of total length <= 8 at j=3
@@ -144,7 +164,7 @@ def test_criterion_4_sandwiches(desk1, consts2, pw2, upsilon):
         for d in range(1, 9):
             a = cq.ell(desk1, k1 + d) - cq.ell(desk1, k1)
             direct = {
-                cq.CylinderPair(sig, om)
+                CylinderPair(sig, om)
                 for sig in itertools.product(cells, repeat=a)
                 for om in itertools.product(rows, repeat=d - a)
             }
@@ -152,8 +172,8 @@ def test_criterion_4_sandwiches(desk1, consts2, pw2, upsilon):
             assert set(from_tree) == direct and len(from_tree) == len(direct)
             for pair in direct:
                 parent = paired_flatten(desk1, pair, offset=k1)
-                lw = cq.log_w_mass(pw2, pair)
-                lwp = cq.log_w_mass(pw2, parent)
+                lw = log_w_mass(pw, pair)
+                lwp = log_w_mass(pw, parent)
                 assert lwp + drop <= lw < lwp
 
 
@@ -170,13 +190,13 @@ def test_criterion_5_comparable_descendants(desk1, consts2):
                 tuple(rng.choice(cells) for _ in range(la)),
                 tuple(rng.choice(rows) for _ in range(k - la)),
             )
-            cq.validate_word(desk1, sigma)
+            validate_word(desk1, sigma)
             sigmas.append(sigma)
         for sigma, fam in zip(sigmas, s2_families(desk1, consts2, sigmas)):
-            e_sigma = cq.energy(desk1, consts2, sigma)
-            total = math.fsum(cq.energy(desk1, consts2, w) for w in fam)
+            e_sigma = energy(desk1, consts2, sigma)
+            total = math.fsum(energy(desk1, consts2, w) for w in fam)
             assert total <= consts2.H3 * e_sigma
-            assert max(cq.order(w) for w in fam) - cq.order(sigma) <= consts2.M
+            assert max(order(w) for w in fam) - order(sigma) <= consts2.M
 
 
 def test_criterion_6_multilevel_pipeline(desk1, consts2, pw2, upsilon):
@@ -184,16 +204,17 @@ def test_criterion_6_multilevel_pipeline(desk1, consts2, pw2, upsilon):
         t = consts2.t_r
         log_eta = math.log(consts2.eta_lo)
         log_pq = math.log(consts2.P) - math.log(consts2.Q)
+        pw = reference_product_weights(desk1, consts2)
         for j in (2, 3, 4):
             ups = upsilon(j)
             k1 = ups.codes.blocks[0].k
-            lam = {w for w in ups.words if cq.order(w) == k1}
+            lam = {w for w in ups.words if order(w) == k1}
 
             # every per-anchor family W-partitions the product space
-            taus = [tau for tau in cq.all_words(desk1, k1) if tau not in lam]
-            eps = [_log_epsilon(desk1, consts2, j, tau) for tau in taus]
+            taus = [tau for tau in reference_all_words(desk1, k1) if tau not in lam]
+            eps = [reference_log_epsilon(desk1, consts2, j, tau) for tau in taus]
             for pairs, _ in gamma_families(desk1, pw2, k1, eps):
-                total = math.fsum(cq.w_mass(pw2, p) for p in pairs)
+                total = math.fsum(w_mass(pw, p) for p in pairs)
                 assert abs(total - 1.0) <= 1e-12
 
             res = cq.build_l1_l2(desk1, consts2, ups)
@@ -201,15 +222,15 @@ def test_criterion_6_multilevel_pipeline(desk1, consts2, pw2, upsilon):
             e_lo = math.log(consts2.Q) - 2.0 * math.log(consts2.P) + (j + 1) * t * log_eta
             e_hi = log_pq + j * t * log_eta
             for w in res.l1:
-                cq.validate_word(desk1, w)
-                le = math.log(cq.energy(desk1, consts2, w))
+                validate_word(desk1, w)
+                le = math.log(energy(desk1, consts2, w))
                 assert e_lo - LOG_SLACK <= le <= e_hi + LOG_SLACK
 
-            squares = [cq.rect(desk1, w) for w in res.l2]
+            squares = [rect(desk1, w) for w in res.l2]
             for a_i, b_i in itertools.combinations(squares, 2):
                 assert not a_i.overlaps_interior(b_i)
 
-            core_energy = math.fsum(cq.energy(desk1, consts2, w) for w in res.l2)
+            core_energy = math.fsum(energy(desk1, consts2, w) for w in res.l2)
             assert core_energy >= consts2.Q / (consts2.H3 * consts2.P)
             assert core_energy <= 1.0
             phi = len(res.l2)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,11 +10,21 @@ import carpetquant as cq
 from carpetquant import Word, codes
 from carpetquant.antichain import _evenly_spaced, _log_epsilon
 from reference_walks import (
+    CylinderPair,
+    energy,
     gamma_families,
+    glue,
+    order,
     pair_order,
+    rect,
+    reference_all_words,
     reference_gamma_pairs,
+    reference_log_epsilon,
+    reference_product_weights,
     reference_s2_family,
     s2_families,
+    validate_word,
+    word_codes,
 )
 
 
@@ -21,14 +32,14 @@ def test_upsilon_j0(desk1, consts2, upsilon):
     ups = upsilon(0)
     assert ups.psi == 2
     assert ups.words == (Word((), (0,)), Word((), (1,)))
-    assert ups.log_weights[0] == pytest.approx(math.log(0.4 * 0.25), rel=1e-12)
+    assert ups.log_w[0] == pytest.approx(math.log(0.4 * 0.25), rel=1e-12)
 
 
 def test_upsilon_weight_band(desk1, consts2, upsilon):
     log_eta = math.log(consts2.eta_lo)
     for j in range(0, 6):
         ups = upsilon(j)
-        for lw in ups.log_weights:
+        for lw in ups.log_w.tolist():
             assert (j + 1) * log_eta <= lw < j * log_eta
 
 
@@ -37,8 +48,8 @@ def test_upsilon_mass_partition(desk1, consts2, upsilon):
     for j in range(0, 6):
         ups = upsilon(j)
         mass = math.fsum(
-            math.exp(lw + cq.order(w) * 2.0 * log_m)
-            for w, lw in zip(ups.words, ups.log_weights)
+            math.exp(lw + order(w) * 2.0 * log_m)
+            for w, lw in zip(ups.words, ups.log_w.tolist())
         )
         assert mass == pytest.approx(1.0, abs=1e-12)
 
@@ -46,14 +57,15 @@ def test_upsilon_mass_partition(desk1, consts2, upsilon):
 def test_upsilon_energy_bound(desk1, consts2, upsilon):
     for j in range(0, 6):
         ups = upsilon(j)
-        total = math.fsum(math.exp(consts2.t_r * lw) for lw in ups.log_weights)
+        total = math.fsum(math.exp(consts2.t_r * lw) for lw in ups.log_w.tolist())
         assert total <= consts2.H1
 
 
 def test_upsilon_is_antichain(desk1, upsilon):
     ups = upsilon(3)
     for w1, w2 in itertools.combinations(ups.words, 2):
-        assert cq.compare(desk1, w1, w2) is cq.Relation.INCOMPARABLE
+        s1, s2 = rect(desk1, w1), rect(desk1, w2)
+        assert not s1.contains(s2) and not s2.contains(s1)
 
 
 def test_upsilon_growth(upsilon, desk1, consts2):
@@ -80,24 +92,24 @@ def test_slices(desk1, upsilon):
     blocks = ups.codes.blocks
     by_order = [(blk.k, codes.decode(desk1, blk)) for blk in blocks]
     assert (blocks[0].k, blocks[-1].k) == (3, 4)
-    orders = sorted({cq.order(w) for w in ups.words})
+    orders = sorted({order(w) for w in ups.words})
     assert [k for k, _ in by_order] == orders
     assert sum(len(ws) for _, ws in by_order) == ups.psi
-    assert all(cq.order(w) == k for k, ws in by_order for w in ws)
+    assert all(order(w) == k for k, ws in by_order for w in ws)
 
 
 def test_s2_family_contains_anchor_and_respects_bounds(desk1, consts2):
     anchors = [Word((), (0,)), Word(((1, 1),), (0, 1)), Word(((2, 1), (0, 0)), (1, 0))]
     for sigma, fam in zip(anchors, s2_families(desk1, consts2, anchors)):
         assert sigma in fam
-        e_sigma = cq.energy(desk1, consts2, sigma)
-        total = math.fsum(cq.energy(desk1, consts2, w) for w in fam)
+        e_sigma = energy(desk1, consts2, sigma)
+        total = math.fsum(energy(desk1, consts2, w) for w in fam)
         assert total <= consts2.H3 * e_sigma
-        assert max(cq.order(w) for w in fam) - cq.order(sigma) <= consts2.M
+        assert max(order(w) for w in fam) - order(sigma) <= consts2.M
         # every member's energy clears the cut, and every member descends from sigma
         for w in fam:
-            assert cq.energy(desk1, consts2, w) >= e_sigma / consts2.H2 * (1 - 1e-11)
-            assert w == sigma or cq.compare(desk1, sigma, w) is cq.Relation.PRECEDES
+            assert energy(desk1, consts2, w) >= e_sigma / consts2.H2 * (1 - 1e-11)
+            assert rect(desk1, sigma).contains(rect(desk1, w))
 
 
 TIE = {"m": 2, "n": 4, "entries": [[0, 0, "1/2"], [1, 1, "1/4"], [3, 1, "1/4"]]}
@@ -118,13 +130,13 @@ def test_s2_family_matches_reference_walk(desk1, config, r, j):
 def k1_slice(ups):
     """The order and the words of the antichain's minimum-order slice."""
     k1 = ups.codes.blocks[0].k
-    return k1, [w for w in ups.words if cq.order(w) == k1]
+    return k1, [w for w in ups.words if order(w) == k1]
 
 
 def test_gamma_tau_partition(desk1, consts2, pw2, upsilon):
     k1, lam = k1_slice(upsilon(2))
-    taus = [tau for tau in cq.all_words(desk1, k1) if tau not in lam]
-    eps = [_log_epsilon(desk1, consts2, 2, tau) for tau in taus]
+    taus = [tau for tau in reference_all_words(desk1, k1) if tau not in lam]
+    eps = _log_epsilon(desk1, consts2, 2, word_codes(desk1, taus))
     for pairs, log_w in gamma_families(desk1, pw2, k1, eps):
         assert abs(math.fsum(math.exp(lw) for lw in log_w) - 1.0) <= 1e-12
         assert len(pairs) == len(set(pairs))
@@ -135,17 +147,24 @@ def test_gamma_tau_rejects_bad_anchor(desk1, consts2, pw2, upsilon):
     _, lam = k1_slice(upsilon(2))
     with pytest.raises(cq.BadTau):
         below = lam[0]  # an antichain member is already below threshold
-        _log_epsilon(desk1, consts2, 2, below)
+        _log_epsilon(desk1, consts2, 2, word_codes(desk1, [below]))
 
 
 def test_glue_orders(desk1, consts2, pw2, upsilon):
+    # past the minimum-order slice, l1 holds each anchor glued to its family's pairs
     k1, lam = k1_slice(upsilon(2))
-    tau = next(t for t in cq.all_words(desk1, k1) if t not in lam)
-    [(pairs, _)] = gamma_families(desk1, pw2, k1, [_log_epsilon(desk1, consts2, 2, tau)])
-    for pair in pairs:
-        glued = cq.glue(tau, pair)
-        assert cq.order(glued) == k1 + pair_order(pair)
-        cq.validate_word(desk1, glued)
+    taus = [t for t in reference_all_words(desk1, k1) if t not in lam]
+    eps = [reference_log_epsilon(desk1, consts2, 2, tau) for tau in taus]
+    glued = [
+        (tau, pair)
+        for tau, (pairs, _) in zip(taus, gamma_families(desk1, pw2, k1, eps))
+        for pair in pairs
+    ]
+    l1 = cq.build_l1_l2(desk1, consts2, upsilon(2)).l1
+    assert list(l1[len(lam) :]) == [glue(tau, pair) for tau, pair in glued]
+    for w, (_, pair) in zip(l1[len(lam) :], glued):
+        assert order(w) == k1 + pair_order(pair)
+        validate_word(desk1, w)
 
 
 def test_l1_l2_structure(desk1, consts2, upsilon):
@@ -157,13 +176,13 @@ def test_l1_l2_structure(desk1, consts2, upsilon):
     assert set(res.l2) <= set(res.l1)
     assert max(res.gamma_defects) <= 1e-12
     for w in res.l1:
-        cq.validate_word(desk1, w)
+        validate_word(desk1, w)
 
 
 def test_l2_pairwise_non_overlapping(desk1, consts2, upsilon):
     for j in (2, 3):
         res = cq.build_l1_l2(desk1, consts2, upsilon(j))
-        squares = [cq.rect(desk1, w) for w in res.l2]
+        squares = [rect(desk1, w) for w in res.l2]
         for s1, s2 in itertools.combinations(squares, 2):
             assert not s1.overlaps_interior(s2)
 
@@ -174,7 +193,7 @@ def test_l2_energy_and_count_bands(desk1, consts2, upsilon):
     for j in (2, 3, 4):
         res = cq.build_l1_l2(desk1, consts2, upsilon(j))
         total = math.fsum(
-            cq.energy(desk1, consts2, w) for w in res.l2
+            energy(desk1, consts2, w) for w in res.l2
         )
         assert total >= consts2.Q / (consts2.H3 * consts2.P)
         assert total <= 1.0
@@ -250,23 +269,40 @@ def test_certify_names_a_misshapen_glued_word(desk1, consts2, monkeypatch):
         pairs, logs = reference_gamma_pairs(spec, pw, k1, log_eps, cap)
         for i, c in enumerate(pairs):
             if c.omega:
-                pairs[i] = cq.CylinderPair(c.sigma + ((0, 0),), c.omega[:-1])
+                pairs[i] = CylinderPair(c.sigma + ((0, 0),), c.omega[:-1])
                 break
         return pairs, logs
 
     monkeypatch.setattr(cq.antichain, "_gamma_pairs", misshape)
     j = 5  # the first level whose families hold pairs with row digits
     k1, lam = k1_slice(cq.build_upsilon(desk1, consts2, j))
-    pw = cq.product_weights(desk1, consts2)
+    pw = reference_product_weights(desk1, consts2)
     glued = (
-        cq.glue(tau, pair)
-        for tau in cq.all_words(desk1, k1)
+        glue(tau, pair)
+        for tau in reference_all_words(desk1, k1)
         if tau not in lam
         for pair in reference_misshape(
-            desk1, pw, k1, _log_epsilon(desk1, consts2, j, tau), 10**6
+            desk1, pw, k1, reference_log_epsilon(desk1, consts2, j, tau), 10**6
         )[0]
     )
-    first_bad = next(w for w in glued if len(w.a) != cq.ell(desk1, cq.order(w)))
+    first_bad = next(w for w in glued if len(w.a) != cq.ell(desk1, order(w)))
     shape = cq.certify(desk1, consts2, [j]).certificates[0].check("l1-shape")
     assert not shape.passed
     assert shape.witness == cq.encode_word(first_bad)
+
+
+def test_certify_reports_empty_s2_families(desk1, consts2):
+    # with H2 < 1 every sampled anchor falls below its own cut
+    report = cq.certify(desk1, dataclasses.replace(consts2, H2=0.5), [2])
+    cert = report.certificates[0]
+    assert (cert.s2_max_ratio, cert.s2_max_gap) == (0.0, 0)
+    for name in ("s2-mass", "s2-gap"):
+        assert cert.check(name).value == 0.0 and cert.check(name).passed
+
+
+def test_certify_psi_growth_bound_beyond_float_range(desk1):
+    consts = cq.constants(desk1, 800.0)
+    assert consts.H1 * math.log(desk1.m * desk1.n) > math.log(sys.float_info.max)
+    report = cq.certify(desk1, consts, [0, 1])
+    growth = report.cross_checks[1]
+    assert (growth.name, growth.bound, growth.passed) == ("psi-growth", math.inf, True)

@@ -19,8 +19,8 @@ def test_indices(desk1):
     assert idx.g_y == (0, 1)
     assert idx.columns_of(0) == (0,)
     assert idx.columns_of(1) == (1, 2)
-    assert idx.q_of(0) == pytest.approx(0.4, abs=1e-15)
-    assert idx.q_of(1) == pytest.approx(0.6, abs=1e-15)
+    assert dict(idx.q)[0] == pytest.approx(0.4, abs=1e-15)
+    assert dict(idx.q)[1] == pytest.approx(0.6, abs=1e-15)
     assert idx.theta == pytest.approx(0.6309297535714574, abs=1e-15)
     assert not idx.uniform_fibres
 
@@ -103,11 +103,3 @@ def test_cell_probabilities(desk1):
     assert probs[(0, 0)] == pytest.approx(0.4)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
-
-def test_apply_map(desk1):
-    assert cq.apply_map(desk1, (0, 0), (0.0, 0.0)) == (0.0, 0.0)
-    x, y = cq.apply_map(desk1, (1, 1), (0.0, 0.0))
-    assert x == pytest.approx(1 / 3)
-    assert y == pytest.approx(1 / 2)
-    with pytest.raises(cq.CellNotInG):
-        cq.apply_map(desk1, (0, 1), (0.0, 0.0))

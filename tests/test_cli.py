@@ -261,6 +261,24 @@ def test_certify_stdout_is_byte_identical(desk1_path, tmp_path, capsys, carpet, 
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGESTS[(carpet, r)]
 
 
+def test_certify_prints_an_overflowing_growth_bound_as_inf(desk1_path, capsys):
+    # at r = 800, (mn)^H1 leaves the float range; the check is decided in integers
+    assert cli.main(["certify", "--config", desk1_path, "--r", "800", "--j", "0:1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "0,psi-growth,6,<=,inf,true,"
+
+
+def test_bare_pytest_finds_the_package():
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "tests/test_carpet.py"],
+        cwd=root, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def test_public_names_resolve():
     import carpetquant
 
