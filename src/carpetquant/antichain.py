@@ -73,7 +73,6 @@ class Antichain:
     """
 
     j: int
-    r: float
     codes: WordCodes = field(repr=False)
     log_w: np.ndarray = field(repr=False)
 
@@ -95,7 +94,6 @@ class L1L2Result:
     ``l1_misfit`` is the first glued word whose shape is not a location code.
     """
 
-    j: int
     k1: int
     l1_codes: WordCodes = field(repr=False)
     l2_codes: WordCodes = field(repr=False)
@@ -178,7 +176,7 @@ def build_upsilon(
         lw = lw + step[row]
     members, perms = WordCodes.from_blocks(spec, [blk for blk, _ in found])
     log_w = np.concatenate([w[p] for (_, w), p in zip(found, perms)])
-    return Antichain(j=j, r=consts.r, codes=members, log_w=log_w)
+    return Antichain(j=j, codes=members, log_w=log_w)
 
 
 def s2_family(
@@ -220,27 +218,35 @@ def s2_family(
 
 
 def _pair_step(
-    spec: CarpetSpec, pw: ProductWeights, k: int, a: np.ndarray, b: np.ndarray, lw: np.ndarray
+    spec: CarpetSpec,
+    pw: ProductWeights,
+    k: int,
+    a: np.ndarray,
+    b: np.ndarray,
+    cells: np.ndarray,
+    lw: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """One aligned step of cylinder pairs whose glued order is k, parent by parent.
 
     Where ell steps at k a pair gains any cell, in ``spec.entries`` order, as
-    a base-G digit (its rank) of ``a``; otherwise it gains any occupied row
-    digit, as a base-m digit of ``b``.  A child's log W mass is its parent's
-    plus the digit's.  Returns (parent index, digit index, a, b, log W).
+    a base-G digit (its rank) of ``a``, and its cell count grows by one;
+    otherwise it gains any occupied row digit, as a base-m digit of ``b``.  A
+    child's log W mass is its parent's plus the digit's.  Returns (parent
+    index, digit index, a, b, cell count, log W).
     """
     tab, dt = codes.tables(spec), codes.code_dtype(spec, k + 1)
-    if ell_steps(spec, k):
+    gains_cell = ell_steps(spec, k)
+    if gains_cell:
         digits = np.array([tab.cells.index((i, j)) for i, j, _ in spec.entries])
         inc = pw.log_p_tilde[digits]
     else:
         digits, inc = tab.rows, pw.log_q_tilde
     parent = np.repeat(np.arange(len(lw)), len(digits))
     digit = np.tile(np.arange(len(digits)), len(lw))
-    a, b = a.astype(dt)[parent], b.astype(dt)[parent]
-    if ell_steps(spec, k):
-        return parent, digit, a * len(tab.cells) + digits[digit], b, lw[parent] + inc[digit]
-    return parent, digit, a, b * spec.m + digits[digit], lw[parent] + inc[digit]
+    a, b, cells, lw = a.astype(dt)[parent], b.astype(dt)[parent], cells[parent], lw[parent]
+    if gains_cell:
+        return parent, digit, a * len(tab.cells) + digits[digit], b, cells + 1, lw + inc[digit]
+    return parent, digit, a, b * spec.m + digits[digit], cells, lw + inc[digit]
 
 
 class GammaPairs(NamedTuple):
@@ -249,7 +255,7 @@ class GammaPairs(NamedTuple):
     family: np.ndarray  # index of the family's quota
     a: np.ndarray  # cell codes: cell ranks in base G
     b: np.ndarray  # row codes: row digits in base m
-    cells: np.ndarray  # number of cells
+    cells: np.ndarray  # number of cells, as the walk added them
     depth: np.ndarray  # number of digits
     log_w: np.ndarray  # log W mass
 
@@ -267,27 +273,27 @@ def _gamma_pairs(
     """
     n = len(log_eps)
     fam, lw, count = np.arange(n), np.zeros(n), np.zeros(n, dtype=np.int64)
-    a = b = path = np.zeros(n, dtype=np.int64)
-    levels, radix = [], []  # per depth: (family, a, b, path, log W) of its collected pairs
+    a = b = cells = path = np.zeros(n, dtype=np.int64)
+    levels, radix = [], []  # per depth: (family, a, b, path, cells, log W) of its collected pairs
     while True:
         below = lw < log_eps[fam]
-        levels.append((fam[below], a[below], b[below], path[below], lw[below]))
+        levels.append((fam[below], a[below], b[below], path[below], cells[below], lw[below]))
         count += np.bincount(fam[below], minlength=n)
-        fam, a, b, path, lw = fam[~below], a[~below], b[~below], path[~below], lw[~below]
+        fam, a, b, path = fam[~below], a[~below], b[~below], path[~below]
+        cells, lw = cells[~below], lw[~below]
         # every pair still on the front has at least one collected pair below it
         bound = count + np.bincount(fam, minlength=n)
         if (bound > cap).any():
             raise CapExceeded(cap, int(bound.max()), "per-anchor threshold family")
         if not len(lw):
             break
-        parent, digit, a, b, lw = _pair_step(spec, pw, k1 + len(radix), a, b, lw)
+        parent, digit, a, b, cells, lw = _pair_step(spec, pw, k1 + len(radix), a, b, cells, lw)
         radix.append(len(digit) // len(fam))
         fam, path = fam[parent], path.astype(a.dtype)[parent] * radix[-1] + digit
     dt = codes.code_dtype(spec, k1 + len(radix))
     key = np.concatenate([lev[3].astype(dt) * math.prod(radix[d:]) for d, lev in enumerate(levels)])
-    fam, a, b, _, log_w = (np.concatenate(col) for col in zip(*levels))
+    fam, a, b, _, cells, log_w = (np.concatenate(col) for col in zip(*levels))
     depth = np.repeat(np.arange(len(levels)), [len(lev[0]) for lev in levels])
-    cells = np.array([ell(spec, k1 + d) - ell(spec, k1) for d in range(len(levels))])[depth]
     order = np.lexsort((-key, fam))
     return GammaPairs(fam[order], a[order], b[order], cells[order], depth[order], log_w[order])
 
@@ -403,7 +409,6 @@ def build_l1_l2(
         l2_blocks.append(blk.take(np.unique(codes.keys(spec, blk), return_index=True)[1]))
     l2, _ = WordCodes.from_blocks(spec, l2_blocks)
     return L1L2Result(
-        j=j,
         k1=k1,
         l1_codes=l1,
         l2_codes=l2,
@@ -430,22 +435,16 @@ class CertificateCheck:
 
 @dataclass(frozen=True, eq=False)
 class JCertificate:
-    """Everything certified at one threshold level."""
+    """The construction sizes at one threshold level and its checks.
+
+    Every certified number lives only in its check row; read it through check().
+    """
 
     j: int
     psi: int
     k1: int
     k2: int
-    sum_energy: float
-    s1_max_ratio: float
-    s1_max_gap: int
-    s2_max_ratio: float
-    s2_max_gap: int
-    s2_samples: int
-    sandwich_checked: int
     phi: int
-    l1_count: int
-    l2_energy: float
     checks: tuple[CertificateCheck, ...]
 
     @property
@@ -463,12 +462,8 @@ class JCertificate:
 class CertificateReport:
     """Certificates for a run of threshold levels plus the cross-level laws."""
 
-    r: float
-    j_values: tuple[int, ...]
     certificates: tuple[JCertificate, ...]
     cross_checks: tuple[CertificateCheck, ...]
-    h6: int
-    h7: float
 
     @property
     def checks(self) -> tuple[CertificateCheck, ...]:
@@ -511,6 +506,17 @@ def _evenly_spaced(items: Sequence, count: int) -> list:
         return list(items)
     stride = len(items) / count
     return [items[int(i * stride)] for i in range(count)]
+
+
+def _first_repeat(words: WordCodes) -> Word:
+    """The first word, in sequence order, that occurs more than once."""
+    first = len(words)
+    for blk, pos in zip(words.blocks, words.pos):
+        _, inverse, counts = np.unique(
+            codes.keys(words.spec, blk), return_inverse=True, return_counts=True
+        )
+        first = min(first, int(pos[counts[inverse] > 1].min(initial=first)))
+    return words.word(first)
 
 
 def certify(
@@ -575,16 +581,13 @@ def certify(
         scan = s1_scan(spec, members, w_mass)
         ratio = scan.w_sum / w_mass[scan.anchor]
         i_s1 = int(np.argmax(ratio))
-        s1_max_ratio = float(ratio[i_s1])
-        s1_max_gap = int(scan.gap.max())
         s1_wit = at(scan.anchor[i_s1])
-        add(_check(j, "s1-mass", s1_max_ratio, "<=", consts.H1 * (1.0 + LOG_SLACK), s1_wit))
-        add(_check(j, "s1-gap", float(s1_max_gap), "<=", float(consts.H1)))
+        add(_check(j, "s1-mass", ratio[i_s1], "<=", consts.H1 * (1.0 + LOG_SLACK), s1_wit))
+        add(_check(j, "s1-gap", scan.gap.max(), "<=", float(consts.H1)))
 
         # embedding sandwich for members of aligned order
         aligned = np.flatnonzero(orders >= k_aligned)
-        sandwich_checked = len(aligned)
-        if sandwich_checked:
+        if len(aligned):
             gap = log_wm[aligned] - t * lws[aligned]
             i_lo, i_hi = int(np.argmin(gap)), int(np.argmax(gap))
             sw_lo, sw_hi = at(aligned[i_lo]), at(aligned[i_hi])
@@ -603,20 +606,21 @@ def certify(
         sums = [math.fsum(e.tolist()) for e in np.split(e_fam, ends)]
         s2_ratios = np.array(sums) / _exp(_log_energy(spec, consts, anchors))
         i_s2 = int(np.argmax(s2_ratios))
-        s2_max_ratio = float(s2_ratios[i_s2])
-        s2_max_gap = int(np.max(fam.orders() - anchors.orders()[owner], initial=0))
+        s2_gap = np.max(fam.orders() - anchors.orders()[owner], initial=0)
         s2_wit = at(sampled[i_s2])
-        add(_check(j, "s2-mass", s2_max_ratio, "<=", consts.H3 * (1.0 + LOG_SLACK), s2_wit))
-        add(_check(j, "s2-gap", float(s2_max_gap), "<=", float(consts.M)))
+        add(_check(j, "s2-mass", s2_ratios[i_s2], "<=", consts.H3 * (1.0 + LOG_SLACK), s2_wit))
+        add(_check(j, "s2-gap", s2_gap, "<=", float(consts.M)))
 
         # multi-level construction
         res = build_l1_l2(spec, consts, ups, cap=cap)
         phi_by_j[j] = res.phi
         if res.gamma_defects:
             add(_check(j, "gamma-partition", max(res.gamma_defects), "<=", MASS_TOL))
+        # witness: the first misshapen glued word, else the first repeated one
         shape_ok = res.l1_distinct and res.l1_misfit is None
         misfit = res.l1_misfit
-        add(_check(j, "l1-shape", 0.0 if shape_ok else 1.0, "<=", 0.0, misfit and (lambda: misfit)))
+        shape_wit = partial(_first_repeat, res.l1_codes) if misfit is None else lambda: misfit
+        add(_check(j, "l1-shape", 0.0 if shape_ok else 1.0, "<=", 0.0, shape_wit))
 
         # energy band of the glued level
         e_lo = math.log(consts.Q) - 2.0 * math.log(consts.P) + (j + 1) * t * log_eta
@@ -652,16 +656,7 @@ def certify(
                 psi=ups.psi,
                 k1=members.blocks[0].k,
                 k2=members.blocks[-1].k,
-                sum_energy=sum_energy,
-                s1_max_ratio=s1_max_ratio,
-                s1_max_gap=s1_max_gap,
-                s2_max_ratio=s2_max_ratio,
-                s2_max_gap=s2_max_gap,
-                s2_samples=len(anchors),
-                sandwich_checked=sandwich_checked,
                 phi=res.phi,
-                l1_count=len(res.l1_codes),
-                l2_energy=l2_energy,
                 checks=tuple(checks),
             )
         )
@@ -692,11 +687,4 @@ def certify(
             cross.append(_check(j, "phi-growth-strict", float(hi), ">=", float(lo + 1)))
             cross.append(_check(j, "phi-growth-cap", float(hi), "<=", h7 * lo))
 
-    return CertificateReport(
-        r=consts.r,
-        j_values=tuple(j_list),
-        certificates=tuple(certificates),
-        cross_checks=tuple(cross),
-        h6=h6,
-        h7=h7,
-    )
+    return CertificateReport(certificates=tuple(certificates), cross_checks=tuple(cross))

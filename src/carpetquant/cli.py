@@ -144,7 +144,7 @@ def _cmd_proxy(args) -> int:
     rows = []
     for j in args.j:
         ac = build_upsilon(spec, consts, j, cap=args.cap)
-        proxy = theoretical_proxy(spec, consts, ac)
+        proxy = theoretical_proxy(ac)
         cb = antichain_codebook(spec, ac)
         rows.append((j, ac.psi, proxy, distortion(pool, cb, args.r)))
     write_rows(sys.stdout, ("j", "psi", "proxy", "antichain_distortion"), rows)
@@ -191,44 +191,44 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--j", type=_parse_j_list, default=(0, 1, 2, 3), help="'a,b,c' or 'lo:hi'")
-    p.add_argument("--cap", type=int, default=500_000)
+    p.add_argument("--cap", type=int, default=RunConfig.cap)
     p.set_defaults(fn=_cmd_antichain)
 
     p = sub.add_parser("certify", help="run every certified inequality and print the checks")
     add_config(p)
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--j", type=_parse_j_list, default=(0, 1, 2, 3), help="'a,b,c' or 'lo:hi'")
-    p.add_argument("--cap", type=int, default=500_000)
+    p.add_argument("--cap", type=int, default=RunConfig.cap)
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("quantize", help="estimate k-point quantization errors from samples")
     add_config(p)
     p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--k", type=_parse_ints, default=(1, 2, 4, 8, 16, 32, 64))
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=20240816)
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--k", type=_parse_ints, default=RunConfig.k_grid)
+    p.add_argument("--samples", type=int, default=RunConfig.samples)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--restarts", type=int, default=RunConfig.restarts)
     p.set_defaults(fn=_cmd_quantize)
 
     p = sub.add_parser("proxy", help="compare antichain codebooks against the weight-sum proxy")
     add_config(p)
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--j", type=_parse_j_list, default=(2, 3, 4), help="'a,b,c' or 'lo:hi'")
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=20240816)
-    p.add_argument("--cap", type=int, default=500_000)
+    p.add_argument("--samples", type=int, default=RunConfig.samples)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--cap", type=int, default=RunConfig.cap)
     p.set_defaults(fn=_cmd_proxy)
 
     p = sub.add_parser("run", help="full pipeline; writes five CSV files")
     add_config(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--r", type=_parse_floats, default=(2.0,))
-    p.add_argument("--j", type=_parse_j_interval, default=(0, 5), help="'lo:hi'")
-    p.add_argument("--k", type=_parse_ints, default=(1, 2, 4, 8, 16, 32, 64))
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=20240816)
-    p.add_argument("--cap", type=int, default=500_000)
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--r", type=_parse_floats, default=RunConfig.r_values)
+    p.add_argument("--j", type=_parse_j_interval, default=RunConfig.j_range, help="'lo:hi'")
+    p.add_argument("--k", type=_parse_ints, default=RunConfig.k_grid)
+    p.add_argument("--samples", type=int, default=RunConfig.samples)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--cap", type=int, default=RunConfig.cap)
+    p.add_argument("--restarts", type=int, default=RunConfig.restarts)
     p.set_defaults(fn=_cmd_run)
 
     return parser

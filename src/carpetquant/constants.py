@@ -55,56 +55,59 @@ class SpectralConstants:
     H5: float
 
 
+def _spectral_sums(spec: CarpetSpec, r: float, t: float) -> tuple[float, float]:
+    """Cell and row spectral sums at exponent t: sum_G (p_ij m^-r)^t, sum_{G_y} (q_j m^-r)^t."""
+    log_mr = -r * math.log(spec.m)
+    cell_sum = math.fsum(math.exp(t * (math.log(p) + log_mr)) for _, _, p in spec.entries)
+    row_sum = math.fsum(math.exp(t * (math.log(qj) + log_mr)) for _, qj in derive_indices(spec).q)
+    return cell_sum, row_sum
+
+
 def lhs(spec: CarpetSpec, r: float, s: float) -> float:
     """Left side of the dimension equation at candidate dimension s >= 0."""
     if r <= 0:
         raise ValueError(f"order exponent must be > 0, got {r}")
     if s < 0:
         raise ValueError(f"candidate dimension must be >= 0, got {s}")
-    idx = derive_indices(spec)
-    t = s / (s + r)
-    log_mr = -r * math.log(spec.m)
-    cell_sum = math.fsum(math.exp(t * (math.log(p) + log_mr)) for _, _, p in spec.entries)
-    row_sum = math.fsum(math.exp(t * (math.log(qj) + log_mr)) for _, qj in idx.q)
-    return math.exp(idx.theta * math.log(cell_sum) + (1.0 - idx.theta) * math.log(row_sum))
+    theta = derive_indices(spec).theta
+    cell_sum, row_sum = _spectral_sums(spec, r, s / (s + r))
+    return math.exp(theta * math.log(cell_sum) + (1.0 - theta) * math.log(row_sum))
 
 
-def solve_sr(spec: CarpetSpec, r: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+def solve_sr(spec: CarpetSpec, r: float) -> float:
     """Solve lhs(s) = 1 by bracketing and bisection.
 
     The bracket [0, S] is grown by doubling until lhs(S) < 1; bisection then
-    runs until the residual |lhs(s)-1| falls within tol (at most max_iter
-    halvings).  Bisection is deliberate: every iterate is certified by a sign,
-    so no smoothness assumptions enter the solver.
+    runs until the residual |lhs(s)-1| falls within 1e-12 (at most 200
+    halvings).  Bisection is deliberate: every iterate is certified by a
+    sign, so no smoothness assumptions enter the solver.
     """
     if lhs(spec, r, 0.0) <= 1.0:
         raise NoBracket("lhs(0) <= 1: carpet admits no positive dimension root")
     lo, hi = 0.0, 2.0
     while lhs(spec, r, hi) >= 1.0:
         lo, hi = hi, 2.0 * hi
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         value = lhs(spec, r, mid)
-        if abs(value - 1.0) <= tol:
+        if abs(value - 1.0) <= 1e-12:
             return mid
         if value > 1.0:
             lo = mid
         else:
             hi = mid
     raise ArithmeticError(
-        f"bisection did not reach residual {tol} in {max_iter} iterations (bracket [{lo}, {hi}])"
+        f"bisection did not reach residual 1e-12 in 200 iterations (bracket [{lo}, {hi}])"
     )
 
 
-def constants(spec: CarpetSpec, r: float, tol: float = 1e-12) -> SpectralConstants:
+def constants(spec: CarpetSpec, r: float) -> SpectralConstants:
     """Solve for s_r and evaluate every derived constant at the root."""
     idx = derive_indices(spec)
-    s = solve_sr(spec, r, tol=tol)
+    s = solve_sr(spec, r)
     t = s / (s + r)
     log_mr = -r * math.log(spec.m)
-
-    P = math.fsum(math.exp(t * (math.log(p) + log_mr)) for _, _, p in spec.entries)
-    Q = math.fsum(math.exp(t * (math.log(qj) + log_mr)) for _, qj in idx.q)
+    P, Q = _spectral_sums(spec, r, t)
 
     q_of = dict(idx.q)
     eta_lo = min(p * q_of[k] * spec.m ** -r for _, _, p in spec.entries for k in idx.g_y)

@@ -37,10 +37,6 @@ class ProductWeights:
     occupied row, as ``codes.tables`` orders them.
     """
 
-    r: float
-    t_r: float
-    P: float
-    Q: float
     log_p_tilde: np.ndarray = field(repr=False)
     log_q_tilde: np.ndarray = field(repr=False)
 
@@ -51,10 +47,6 @@ def product_weights(spec: CarpetSpec, consts: SpectralConstants) -> ProductWeigh
     log_mr = -consts.r * math.log(spec.m)
     tab = codes.tables(spec)
     return ProductWeights(
-        r=consts.r,
-        t_r=t,
-        P=consts.P,
-        Q=consts.Q,
         log_p_tilde=t * (tab.log_p + log_mr) - math.log(consts.P),
         log_q_tilde=t * (tab.log_q + log_mr) - math.log(consts.Q),
     )

@@ -20,7 +20,6 @@ from scipy.spatial import cKDTree
 
 from .antichain import Antichain
 from .carpet import CarpetSpec
-from .constants import SpectralConstants
 from .codes import centers
 
 __all__ = [
@@ -208,8 +207,9 @@ def _cell_centers(
 
     For r=2 the new center is the cell mean.  Otherwise a damped gradient
     descent starts from the mean: 50 fixed steps of 0.5 / (local Lipschitz
-    estimate of the gradient), and a cell whose estimate is <= 0 stays where
-    it is from then on.  The returned center is the best of {old center,
+    estimate of the gradient), and a cell whose step is not finite (its
+    estimate is 0, or so small that the step overflows, as at large r) stays
+    where it is from then on.  The returned center is the best of {old center,
     cell mean, descent end} by cell cost, the first on ties, which keeps the
     Lloyd loop monotone.  Every per-cell sum is a bincount, so it adds the
     cell's points in pool order.
@@ -230,15 +230,16 @@ def _cell_centers(
     ax, ay = mean.T.copy()
     coef = r * max(r - 1.0, 1.0)
     moving = np.ones(k, dtype=bool)  # an empty cell's estimate is 0
-    for _ in range(50):
-        dx = ax[labels] - px
-        dy = ay[labels] - py
-        w = np.maximum(np.hypot(dx, dy), 1e-12) ** (r - 2.0)
-        lipschitz = coef * cell_sums(w)
-        moving &= ~(lipschitz <= 0.0)
-        step = 0.5 / lipschitz[moving]
-        ax[moving] -= step * (r * cell_sums(w * dx))[moving]
-        ay[moving] -= step * (r * cell_sums(w * dy))[moving]
+    with np.errstate(divide="ignore", over="ignore"):  # a frozen cell's step may be inf
+        for _ in range(50):
+            dx = ax[labels] - px
+            dy = ay[labels] - py
+            w = np.maximum(np.hypot(dx, dy), 1e-12) ** (r - 2.0)
+            step = 0.5 / (coef * cell_sums(w))
+            moving &= np.isfinite(step)
+            step = step[moving]
+            ax[moving] -= step * (r * cell_sums(w * dx))[moving]
+            ay[moving] -= step * (r * cell_sums(w * dy))[moving]
     candidates = np.stack((old, mean, np.column_stack((ax, ay))))
     costs = [cell_sums(np.hypot(c[labels, 0] - px, c[labels, 1] - py) ** r) for c in candidates]
     return candidates[np.argmin(costs, axis=0), np.arange(k)]
@@ -370,7 +371,6 @@ def lloyd_best(
     seed: int,
     restarts: int = 5,
     max_iters: int = 100,
-    tol: float = 1e-9,
 ) -> LloydResult:
     """Best of several seeded Lloyd descents (ties keep the earliest).
 
@@ -381,7 +381,7 @@ def lloyd_best(
     results = []
     for attempt in range(restarts):
         init = int(np.random.default_rng((seed, k, attempt)).integers(2**31))
-        results.append(lloyd(pool, k, r, init=init, max_iters=max_iters, tol=tol))
+        results.append(lloyd(pool, k, r, init=init, max_iters=max_iters))
     best = min(results, key=lambda res: res.distortion)
     return LloydResult(
         codebook=best.codebook,
@@ -403,6 +403,6 @@ def antichain_codebook(spec: CarpetSpec, antichain: Antichain) -> Codebook:
     )
 
 
-def theoretical_proxy(spec: CarpetSpec, consts: SpectralConstants, antichain: Antichain) -> float:
+def theoretical_proxy(antichain: Antichain) -> float:
     """Sum of the antichain's weights: the model-side stand-in for e_psi^r."""
     return math.fsum(map(math.exp, antichain.log_w.tolist()))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, TextIO, TypeVar
 
-from .antichain import CertificateReport, certify
+from .antichain import DEFAULT_CAP, CertificateReport, certify
 from .carpet import CarpetError, CarpetSpec, load_config, validate_spec
 from .constants import SpectralConstants, constants
 from .quantize import LloydResult, lloyd_best, sample
@@ -74,7 +74,7 @@ class RunConfig:
     k_grid: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
     samples: int = 200_000
     seed: int = 20240816
-    cap: int = 500_000
+    cap: int = DEFAULT_CAP
     restarts: int = 5
 
 
@@ -185,6 +185,7 @@ def _dimension_row(r: float, c: SpectralConstants) -> tuple:
 def _antichain_rows(r: float, report: CertificateReport) -> list[tuple]:
     rows = []
     for cert in report.certificates:
+        energy = cert.check("energy-sum")
         s12_ok = cert.check("count-band-lower").passed and cert.check("count-band-upper").passed
         rows.append(
             (
@@ -193,10 +194,10 @@ def _antichain_rows(r: float, report: CertificateReport) -> list[tuple]:
                 cert.psi,
                 cert.k1,
                 cert.k2,
-                cert.sum_energy,
-                cert.check("energy-sum").passed,
-                cert.s1_max_ratio,
-                cert.s2_max_ratio,
+                energy.value,
+                energy.passed,
+                cert.check("s1-mass").value,
+                cert.check("s2-mass").value,
                 cert.phi,
                 s12_ok,
             )
@@ -246,8 +247,12 @@ def run(cfg: RunConfig) -> int:
                 warn_capped(r, k, res)
 
             slope, slope_err = fit_slope(cfg.k_grid, errors)
-            scaled = [k ** (r / consts.s_r) * res.distortion for k, res in zip(cfg.k_grid, results)]
-            band_ratio = max(scaled) / min(scaled) if min(scaled) > 0 else math.inf
+            power = r / consts.s_r
+            try:
+                scaled = [k**power * res.distortion for k, res in zip(cfg.k_grid, results)]
+                band_ratio = max(scaled) / min(scaled) if min(scaled) > 0 else math.inf
+            except OverflowError:  # k^(r/s_r) leaves the float range at large r
+                band_ratio = math.inf
             summary_rows.append((r, consts.s_r, slope, slope_err, band_ratio, report.all_pass))
     finally:
         write_csv(out / "dimension.csv", DIMENSION_COLUMNS, dimension_rows)

@@ -467,13 +467,15 @@ def gamma_families(spec, pw, k1, log_eps, cap=cq.antichain.DEFAULT_CAP):
 
 def pair_levels(spec, pw, offset, depth):
     """Levels 0..depth of the shipped pair step from the empty pair: (parent, pairs, log W)."""
-    a = b = np.zeros(1, dtype=np.int64)
+    a = b = cells = np.zeros(1, dtype=np.int64)
     lw = np.zeros(1)
     levels = [(np.zeros(0, dtype=np.int64), [EMPTY_PAIR], lw)]
     for d in range(depth):
-        parent, _, a, b, lw = cq.antichain._pair_step(spec, pw, offset + d, a, b, lw)
-        cells = ell(spec, offset + d + 1) - ell(spec, offset)
-        pairs = [CylinderPair(*w) for w in codes.decode(spec, Block(d + 1, a, b), cells)]
+        parent, _, a, b, cells, lw = cq.antichain._pair_step(
+            spec, pw, offset + d, a, b, cells, lw
+        )
+        assert (cells == ell(spec, offset + d + 1) - ell(spec, offset)).all()
+        pairs = [CylinderPair(*w) for w in codes.decode(spec, Block(d + 1, a, b), int(cells[0]))]
         levels.append((parent, pairs, lw))
     return levels
 

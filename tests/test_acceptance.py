@@ -263,7 +263,7 @@ def test_criterion_8_proxy_consistency(desk1, consts2, pool, upsilon):
             ups = upsilon(j)
             cb = cq.antichain_codebook(desk1, ups)
             value, stderr = cq.distortion_stats(pool, cb, r)
-            proxy = cq.theoretical_proxy(desk1, consts2, ups)
+            proxy = cq.theoretical_proxy(ups)
             assert value <= blowup * proxy + 3.0 * stderr
             ratios.append(value / proxy)
         assert max(ratios) / min(ratios) <= 4.0

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -240,11 +241,12 @@ def test_certify_reports_tampered_count_band(desk1, consts2):
     assert "count-band-upper" in failed
 
 
-def test_certificate_accessor(desk1, consts2):
+def test_certificate_accessor(desk1, consts2, upsilon):
     report = cq.certify(desk1, consts2, [2])
     cert = report.certificates[0]
     chk = cert.check("energy-sum")
-    assert chk.passed and chk.value == pytest.approx(cert.sum_energy)
+    sum_energy = math.fsum(math.exp(consts2.t_r * lw) for lw in upsilon(2).log_w.tolist())
+    assert chk.passed and chk.value == pytest.approx(sum_energy)
     with pytest.raises(KeyError):
         cert.check("no-such-check")
 
@@ -291,11 +293,53 @@ def test_certify_names_a_misshapen_glued_word(desk1, consts2, monkeypatch):
     assert shape.witness == cq.encode_word(first_bad)
 
 
+def test_certify_names_a_word_from_a_misstepped_pair_walk(desk1, consts2, monkeypatch):
+    # the pair walk follows the step rule of the next order, so its pairs gain
+    # cells where they should gain row digits; j = 5 is the first level whose
+    # families take a step where the two rules differ
+    monkeypatch.setattr(cq.antichain, "ell_steps", lambda s, k: codes.ell_steps(s, k + 1))
+    j = 5
+    res = cq.build_l1_l2(desk1, consts2, cq.build_upsilon(desk1, consts2, j))
+    misfit = res.l1_misfit
+    assert misfit is not None and len(misfit.a) != cq.ell(desk1, order(misfit))
+    shape = cq.certify(desk1, consts2, [j]).certificates[0].check("l1-shape")
+    assert not shape.passed
+    assert shape.witness == cq.encode_word(misfit)
+
+
+def test_certify_names_a_repeated_glued_word(desk1, consts2, monkeypatch):
+    walk = cq.antichain._gamma_pairs
+
+    def repeat(spec, pw, k1, log_eps, cap):
+        # in the first family that allows it, the second pair copies the first
+        pairs = walk(spec, pw, k1, log_eps, cap)
+        same = (
+            (pairs.family[1:] == pairs.family[:-1])
+            & (pairs.depth[1:] == pairs.depth[:-1])
+            & (pairs.cells[1:] == pairs.cells[:-1])
+        )
+        assert same.any()
+        pick = np.arange(len(pairs.family))
+        i = int(np.argmax(same))
+        pick[i + 1] = i
+        return cq.antichain.GammaPairs(*(col[pick] for col in pairs))
+
+    monkeypatch.setattr(cq.antichain, "_gamma_pairs", repeat)
+    j = 4
+    res = cq.build_l1_l2(desk1, consts2, cq.build_upsilon(desk1, consts2, j))
+    assert res.l1_misfit is None and not res.l1_distinct
+    seen = collections.Counter(res.l1)
+    first = next(w for w in res.l1 if seen[w] > 1)
+    shape = cq.certify(desk1, consts2, [j]).certificates[0].check("l1-shape")
+    assert not shape.passed
+    assert shape.witness == cq.encode_word(first)
+
+
 def test_certify_reports_empty_s2_families(desk1, consts2):
     # with H2 < 1 every sampled anchor falls below its own cut
     report = cq.certify(desk1, dataclasses.replace(consts2, H2=0.5), [2])
     cert = report.certificates[0]
-    assert (cert.s2_max_ratio, cert.s2_max_gap) == (0.0, 0)
+    assert (cert.check("s2-mass").value, cert.check("s2-gap").value) == (0.0, 0)
     for name in ("s2-mass", "s2-gap"):
         assert cert.check(name).value == 0.0 and cert.check(name).passed
 

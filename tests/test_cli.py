@@ -191,6 +191,18 @@ def test_run_without_a_slope_exits_0_with_a_summary_row(desk1_path, tmp_path, ca
     assert band_ratio == ("1" if k == "4,4" else "inf")
 
 
+def test_run_at_large_r_exits_0_with_an_infinite_band(desk1_path, tmp_path, capsys):
+    # at r = 800 the per-cell sums of the centre descent are subnormal, so its
+    # step overflows, and k^(r/s_r) leaves the float range from k = 4 on
+    out = tmp_path / "out"
+    argv = ["run", "--config", desk1_path, "--out", str(out), "--r", "800", "--j", "0:2"]
+    assert cli.main(argv + ["--samples", "2000", "--k", "1,2,4", "--restarts", "1"]) == 0
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert summary[1].startswith("800,") and summary[1].endswith(",nan,inf,inf,true")
+    rows = (out / "quantize.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(math.isfinite(float(row.split(",")[2])) for row in rows)
+
+
 def test_run_bad_config_exits_2(bad_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", "--config", bad_config, "--out", str(out)] + SMALL_RUN)
@@ -239,26 +251,38 @@ def test_bad_argument_exits_2(desk1_path, capsys, argv):
 
 
 # SHA-256 of `certify --j 0:6` stdout, recorded from the word-by-word
-# implementation before certify ran on integer word codes.  The printed floats
-# carry the last-bit rounding of this platform's libm (math.exp, math.log), so
-# the digests hold only on a libm that rounds as the recording one did.
+# implementation before certify ran on integer word codes, and of
+# `antichain --j 0:6` stdout, recorded while JCertificate still kept its own
+# copies of the certified numbers.  The printed floats carry the last-bit
+# rounding of this platform's libm (math.exp, math.log), so the digests hold
+# only on a libm that rounds as the recording one did.
 CERTIFY_DIGESTS = {
-    ("desk1", "1"): "84297bd2ebef874fc2f15a70da16c2c62b7b0032c66b755c47155f1f3eedd52a",
-    ("desk1", "2"): "2acd4d2bd752951d0fbe286a8ad1a9ecb5a71e9176f50bb572a8ac44cad05c9c",
-    ("tie", "1"): "6c5914f46275d9258a32835628703706d61d290d37ca62bdba0b1cb95c6e945a",
+    ("certify", "desk1", "1"): "84297bd2ebef874fc2f15a70da16c2c62b7b0032c66b755c47155f1f3eedd52a",
+    ("certify", "desk1", "2"): "2acd4d2bd752951d0fbe286a8ad1a9ecb5a71e9176f50bb572a8ac44cad05c9c",
+    ("certify", "tie", "1"): "6c5914f46275d9258a32835628703706d61d290d37ca62bdba0b1cb95c6e945a",
+    ("antichain", "desk1", "1"): "2504c912cc3c0e259d85967f0a260df97a6ef082fdb3ee32c057dd9854ca2f70",
+    ("antichain", "desk1", "2"): "657510b89e3bfd57240e14c0093c19c0cd1ebfcbf0a33b263fb71ed61fce9266",
+    ("antichain", "tie", "1"): "b2e023aa2d7378f2f076b2d5a9f20c9a220f79b6ca9456b0346efdd13b794187",
 }
 TIE = {"m": 2, "n": 4, "entries": [[0, 0, "1/2"], [1, 1, "1/4"], [3, 1, "1/4"]]}
 
 
-@pytest.mark.parametrize("carpet, r", sorted(CERTIFY_DIGESTS))
-def test_certify_stdout_is_byte_identical(desk1_path, tmp_path, capsys, carpet, r):
+# certify cases keep the short ids "carpet-r"; antichain cases carry their command
+@pytest.mark.parametrize(
+    "command, carpet, r",
+    [
+        pytest.param(*key, id="-".join(key[1:] if key[0] == "certify" else key))
+        for key in sorted(CERTIFY_DIGESTS)
+    ],
+)
+def test_certify_stdout_is_byte_identical(desk1_path, tmp_path, capsys, command, carpet, r):
     path = desk1_path
     if carpet == "tie":
         path = str(tmp_path / "tie.json")
         (tmp_path / "tie.json").write_text(json.dumps(TIE))
-    cli.main(["certify", "--config", path, "--r", r, "--j", "0:6"])
+    cli.main([command, "--config", path, "--r", r, "--j", "0:6"])
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGESTS[(carpet, r)]
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGESTS[(command, carpet, r)]
 
 
 def test_certify_prints_an_overflowing_growth_bound_as_inf(desk1_path, capsys):

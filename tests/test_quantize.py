@@ -496,10 +496,10 @@ def test_antichain_codebook_j0(desk1, consts2, upsilon):
 
 
 def test_proxy_j0_and_band(desk1, consts2, upsilon):
-    assert cq.theoretical_proxy(desk1, consts2, upsilon(0)) == pytest.approx(
+    assert cq.theoretical_proxy(upsilon(0)) == pytest.approx(
         0.25, rel=1e-12
     )
     for j in range(0, 5):
         ups = upsilon(j)
-        proxy = cq.theoretical_proxy(desk1, consts2, ups)
+        proxy = cq.theoretical_proxy(ups)
         assert ups.psi * consts2.eta_lo ** (j + 1) <= proxy < ups.psi * consts2.eta_lo**j
