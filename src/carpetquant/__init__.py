@@ -24,6 +24,7 @@ from .carpet import (
     BadProbabilities,
     CarpetError,
     CarpetSpec,
+    ConfigError,
     DegenerateGrid,
     DuplicateCell,
     IndexSets,
@@ -50,6 +51,6 @@ from .quantize import (
     sample,
     theoretical_proxy,
 )
-from .runner import ConfigError, RunConfig, StageError, fit_slope, run
+from .runner import RunConfig, StageError, fit_slope, run
 
 __version__ = "0.1.0"

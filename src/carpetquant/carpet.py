@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 __all__ = [
     "CarpetError",
+    "ConfigError",
     "DegenerateGrid",
     "ThinDigitSet",
     "BadProbabilities",
@@ -38,6 +39,10 @@ PROB_SUM_TOL = 1e-12
 
 class CarpetError(ValueError):
     """Base class for carpet definition errors; message names the violated hypothesis."""
+
+
+class ConfigError(ValueError):
+    """The run configuration is unusable (bad carpet, ranges, or paths)."""
 
 
 class DegenerateGrid(CarpetError):

@@ -13,13 +13,12 @@ import sys
 from pathlib import Path
 
 from .antichain import CapExceeded, CertificateReport, build_upsilon, certify
-from .carpet import CarpetError, CarpetSpec, derive_indices, load_config, validate_spec
+from .carpet import CarpetError, CarpetSpec, ConfigError, derive_indices, load_config, validate_spec
 from .constants import constants
 from .quantize import antichain_codebook, distortion, lloyd_best, sample, theoretical_proxy
 from .runner import (
     ANTICHAIN_COLUMNS,
     CERTIFICATE_COLUMNS,
-    ConfigError,
     DIMENSION_COLUMNS,
     QUANTIZE_COLUMNS,
     RunConfig,

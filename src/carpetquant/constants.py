@@ -13,11 +13,12 @@ the root; they bound the certificate inequalities checked in antichain.py.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .carpet import CarpetSpec, derive_indices
+from .carpet import CarpetSpec, ConfigError, derive_indices
 
-__all__ = ["NoBracket", "SpectralConstants", "lhs", "solve_sr", "constants"]
+__all__ = ["NoBracket", "SpectralConstants", "lhs", "solve_sr", "normal_eta_lo", "constants"]
 
 
 class NoBracket(ArithmeticError):
@@ -101,8 +102,27 @@ def solve_sr(spec: CarpetSpec, r: float) -> float:
     )
 
 
+def normal_eta_lo(spec: CarpetSpec, r: float) -> float:
+    """eta_lo = min p_ij q_k m^-r, in linear scale as it is printed.
+
+    Raises ConfigError naming r when r is so large that eta_lo falls below
+    the normal float range.
+    """
+    q_of = dict(derive_indices(spec).q)
+    eta_lo = min(p * q_of[k] * spec.m ** -r for _, _, p in spec.entries for k in q_of)
+    if not eta_lo >= sys.float_info.min:
+        raise ConfigError(
+            f"r = {r} is too large for this carpet: eta_lo = min p_ij q_k m^-r = {eta_lo!r} "
+            "is not a positive normal float"
+        )
+    return eta_lo
+
+
 def constants(spec: CarpetSpec, r: float) -> SpectralConstants:
-    """Solve for s_r and evaluate every derived constant at the root."""
+    """Solve for s_r and evaluate every derived constant at the root.
+
+    Raises ConfigError when eta_lo is not a normal float (normal_eta_lo).
+    """
     idx = derive_indices(spec)
     s = solve_sr(spec, r)
     t = s / (s + r)
@@ -110,7 +130,7 @@ def constants(spec: CarpetSpec, r: float) -> SpectralConstants:
     P, Q = _spectral_sums(spec, r, t)
 
     q_of = dict(idx.q)
-    eta_lo = min(p * q_of[k] * spec.m ** -r for _, _, p in spec.entries for k in idx.g_y)
+    eta_lo = normal_eta_lo(spec, r)
     q_bar = max(q_of.values())
     eta_hi = math.exp(t * (math.log(q_bar) + log_mr))
 

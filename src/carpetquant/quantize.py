@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.spatial import cKDTree
 
 from .antichain import Antichain
 from .carpet import CarpetSpec
@@ -37,7 +35,8 @@ __all__ = [
 ]
 
 # Above this codebook size a KD-tree beats dense scoring; its distances are
-# exact too, equal to the dense ones up to rounding.
+# exact too, equal to the dense ones up to rounding.  scipy is imported only
+# on that path.
 _TREE_THRESHOLD = 512
 _CHUNK_ENTRIES = 4_000_000
 # Lloyd keeps a label without rescoring only when its bounds put every rival
@@ -81,13 +80,49 @@ class LloydResult:
     capped: int = 0
 
 
+def _coordinate(digits: np.ndarray, base: int, start: float) -> np.ndarray:
+    """One chaos-game coordinate: y_t = z + c*d_t, then z = c*y_t, with c = 1/base.
+
+    z starts at start/base.  These are the operations of
+    scipy.signal.lfilter([c], [1, -c], digits, zi=[start/base]), so the
+    values are its values bit for bit.  About sqrt(N) blocks run side by
+    side, block 0 from the true state and each other one from 0.  A block
+    whose true start (c times its predecessor's last value) differs from the
+    state it ran from runs again, until none differ; by induction every value
+    is then the sequential one.  Runs of 0 digits only rescale a wrong state,
+    so they can take several rounds.
+    """
+    c = 1.0 / base
+    total = len(digits)
+    width = math.isqrt(total)
+    blocks = -(-total // width)
+    steps = np.zeros(blocks * width)
+    steps[:total] = digits
+    steps = (steps * c).reshape(blocks, width).T.copy()  # row t: c*d_t of every block
+    starts = np.zeros(blocks)
+    starts[0] = start / base
+    path = np.empty_like(steps)
+    redo = np.arange(blocks)
+    while len(redo):
+        z = starts[redo]
+        ran = np.empty((width, len(redo)))
+        for row, out in zip(steps[:, redo], ran):
+            np.add(z, row, out=out)
+            np.multiply(out, c, out=z)
+        path[:, redo] = ran
+        true = c * path[-1, :-1]
+        redo = np.flatnonzero(true != starts[1:]) + 1
+        starts[redo] = true[redo - 1]
+    return path.T.ravel()[:total]
+
+
 def sample(spec: CarpetSpec, n: int, seed: int, burn_in: int = 64) -> SamplePool:
     """Run the chaos game: x <- f_IJ(x) with i.i.d. cell draws.
 
     The coordinate recurrences x <- (x+i)/n and y <- (y+j)/m are linear
-    filters over the digit streams; both are evaluated with a C-level IIR
-    filter, so pools are deterministic and cheap.  The first burn_in points
-    are discarded (the start point decays geometrically).
+    filters over the digit streams, each evaluated exactly by _coordinate, so
+    pools are deterministic and cheap.  The first burn_in points are
+    discarded (the start point decays geometrically).
     """
     if n < 1:
         raise ValueError(f"pool size must be >= 1, got {n}")
@@ -99,9 +134,8 @@ def sample(spec: CarpetSpec, n: int, seed: int, burn_in: int = 64) -> SamplePool
     draws = rng.choice(len(spec.entries), size=n + burn_in, p=probs)
     cols = np.array([i for i, _, _ in spec.entries], dtype=np.float64)[draws]
     rows = np.array([j for _, j, _ in spec.entries], dtype=np.float64)[draws]
-    x0 = y0 = 0.5
-    xs, _ = lfilter([1.0 / spec.n], [1.0, -1.0 / spec.n], cols, zi=np.array([x0 / spec.n]))
-    ys, _ = lfilter([1.0 / spec.m], [1.0, -1.0 / spec.m], rows, zi=np.array([y0 / spec.m]))
+    xs = _coordinate(cols, spec.n, 0.5)
+    ys = _coordinate(rows, spec.m, 0.5)
     points = np.column_stack((xs[burn_in:], ys[burn_in:]))
     return SamplePool(points=points, seed=seed, n=n, burn_in=burn_in)
 
@@ -143,6 +177,9 @@ def _dense(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, ...]:
         np.put(scores, rows + lab, np.inf)
         rest = scores.take(rows + np.argmin(scores, axis=1)) + _sq_norms(block)
         second2[start : start + step] = np.maximum(rest, 0.0)
+        # Free this block before the next one is built, so that only one
+        # _CHUNK_ENTRIES block (32 MB) is alive at a time, not two.
+        del scores
     return labels, dmin2, second2
 
 
@@ -157,6 +194,8 @@ def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     if len(centers) <= _TREE_THRESHOLD:
         return _dense(points, centers)
+    from scipy.spatial import cKDTree
+
     dist, idx = cKDTree(centers).query(points, k=2)
     labels = idx[:, 0].astype(np.int64)
     tied = np.flatnonzero(dist[:, 0] == dist[:, 1])
@@ -245,6 +284,29 @@ def _cell_centers(
     return candidates[np.argmin(costs, axis=0), np.arange(k)]
 
 
+def _separation(centers: np.ndarray) -> np.ndarray:
+    """Each center's distance to its nearest other center (inf when k = 1).
+
+    Up to _TREE_THRESHOLD centers a dense k-by-k search takes the sqrt of
+    the least dx*dx + dy*dy off the diagonal.  A KD-tree adds the same
+    squares to 0 and sqrt is monotone, so these are the tree's distances bit
+    for bit.  Above the threshold the tree runs.
+    """
+    k = len(centers)
+    if k > _TREE_THRESHOLD:
+        from scipy.spatial import cKDTree
+
+        return cKDTree(centers).query(centers, k=2)[0][:, 1]
+    x, y = centers[:, 0], centers[:, 1]
+    d2 = x[:, None] - x
+    d2 *= d2
+    dy = y[:, None] - y
+    dy *= dy
+    d2 += dy
+    np.fill_diagonal(d2, np.inf)
+    return np.sqrt(d2.min(axis=1))
+
+
 def _reassign(
     points: np.ndarray,
     centers: np.ndarray,
@@ -258,13 +320,13 @@ def _reassign(
     the distortion needs anyway.  A label is kept when every rival is farther
     by the margin, through lower (a bound on the second-nearest distance) or
     through s, half the distance from the assigned center to its nearest
-    other center: a rival lies at least 2s - d away.  The other points go
-    through _nearest.  Updates labels and lower in place; returns the squared
-    distances to the assigned centers.
+    other center (_separation): a rival lies at least 2s - d away.  The
+    other points go through _nearest.  Updates labels and lower in place;
+    returns the squared distances to the assigned centers.
     """
     dmin2 = _sq_norms(points - centers.take(labels, axis=0))
     slack = _KEEP_MARGIN * scale * scale
-    half = 0.5 * cKDTree(centers).query(centers, k=2)[0][:, 1]
+    half = 0.5 * _separation(centers)
     # (2s - d)^2 - d^2 = 4s(s - d) > slack  <=>  d < s - slack / (4s)
     with np.errstate(divide="ignore"):
         reach = half - slack / (4.0 * half)

@@ -18,12 +18,11 @@ from pathlib import Path
 from typing import Callable, Sequence, TextIO, TypeVar
 
 from .antichain import DEFAULT_CAP, CertificateReport, certify
-from .carpet import CarpetError, CarpetSpec, load_config, validate_spec
-from .constants import SpectralConstants, constants
+from .carpet import CarpetError, CarpetSpec, ConfigError, load_config, validate_spec
+from .constants import SpectralConstants, constants, normal_eta_lo
 from .quantize import LloydResult, lloyd_best, sample
 
 __all__ = [
-    "ConfigError",
     "StageError",
     "RunConfig",
     "run",
@@ -48,10 +47,6 @@ ANTICHAIN_COLUMNS = (
 CERTIFICATE_COLUMNS = ("r", "j", "check", "value", "op", "bound", "passed", "witness")
 QUANTIZE_COLUMNS = ("r", "k", "e_k_r", "iters", "restarts_used")
 SUMMARY_COLUMNS = ("r", "s_r", "slope", "slope_err", "band_ratio", "all_certificates_pass")
-
-
-class ConfigError(ValueError):
-    """The run configuration is unusable (bad carpet, ranges, or paths)."""
 
 
 class StageError(RuntimeError):
@@ -168,6 +163,8 @@ def validate_run_config(cfg: RunConfig) -> CarpetSpec:
     if cfg.j_range[1] < cfg.j_range[0]:
         raise ConfigError(f"scale range must satisfy lo <= hi, got {cfg.j_range!r}")
     check_fields(cfg.r_values, cfg.j_range, cfg.k_grid, cfg.samples, cfg.seed, cfg.cap, cfg.restarts)
+    for r in cfg.r_values:
+        normal_eta_lo(spec, r)
     return spec
 
 

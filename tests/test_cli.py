@@ -203,6 +203,17 @@ def test_run_at_large_r_exits_0_with_an_infinite_band(desk1_path, tmp_path, caps
     assert len(rows) == 3 and all(math.isfinite(float(row.split(",")[2])) for row in rows)
 
 
+@pytest.mark.parametrize("command", ["dimension", "certify", "run"])
+def test_r_beyond_normal_eta_lo_exits_2_with_one_error_line(desk1_path, tmp_path, capsys, command):
+    argv = [command, "--config", desk1_path, "--r", "1100"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")] + SMALL_RUN
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "r = 1100.0 " in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_bad_config_exits_2(bad_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", "--config", bad_config, "--out", str(out)] + SMALL_RUN)
@@ -319,6 +330,40 @@ def test_public_names_resolve():
             module = importlib.import_module(f"carpetquant.{node.module}")
             for alias in node.names:
                 assert getattr(carpetquant, alias.name) is getattr(module, alias.name)
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import carpetquant.cli as cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+config, out = sys.argv[1:]
+assert not scipy_loaded(), scipy_loaded()
+for argv in (
+    ["validate", "--config", config],
+    ["dimension", "--config", config, "--r", "1,2"],
+    ["certify", "--config", config, "--j", "0:3"],
+    ["run", "--config", config, "--out", out, "--j", "0:1", "--k", "1,2,512",
+     "--samples", "2000", "--restarts", "1"],
+):
+    assert cli.main(argv) == 0, argv
+    assert not scipy_loaded(), (argv, scipy_loaded())
+# a codebook above the dense threshold (psi = 582 at j = 4) takes the KD-tree
+assert cli.main(["proxy", "--config", config, "--j", "4", "--samples", "2000"]) == 0
+assert "scipy.spatial" in sys.modules
+"""
+
+
+def test_scipy_is_imported_only_for_the_kdtree(desk1_path, tmp_path):
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, desk1_path, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_python_dash_m_runs_the_cli(desk1_path):

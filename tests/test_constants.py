@@ -147,3 +147,11 @@ def test_solver_rejects_bad_inputs(desk1):
         cq.solve_sr(desk1, 0.0)
     with pytest.raises(ValueError):
         cq.solve_sr(desk1, -1.0)
+
+
+def test_r_whose_eta_lo_leaves_the_normal_range_is_a_config_error(desk1):
+    # desk-1's eta_lo = 0.3 * 0.4 * 2^-r is normal up to r = 1018
+    assert cq.constants(desk1, 1018.0).eta_lo == 4.2721418083338265e-308
+    for r in (1019.0, 1100.0, 1e6):
+        with pytest.raises(cq.ConfigError, match=f"r = {r} "):
+            cq.constants(desk1, r)

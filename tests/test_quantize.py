@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,53 @@ def test_sample_preconditions(desk1):
         cq.sample(desk1, 0, seed=1)
     with pytest.raises(ValueError):
         cq.sample(desk1, 100, seed=1, burn_in=31)
+
+
+def lfilter_sample(spec, n, seed, burn_in=64):
+    """sample() with its coordinates from scipy's IIR filter, as it was first written."""
+    from scipy.signal import lfilter
+
+    probs = np.array([p for _, _, p in spec.entries])
+    draws = np.random.default_rng(seed).choice(
+        len(spec.entries), size=n + burn_in, p=probs / probs.sum()
+    )
+    coords = []
+    for axis, base in ((0, spec.n), (1, spec.m)):
+        stream = np.array([cell[axis] for cell in spec.entries], dtype=np.float64)[draws]
+        c = 1.0 / base
+        coords.append(lfilter([c], [1.0, -c], stream, zi=np.array([0.5 / base]))[0][burn_in:])
+    return np.column_stack(coords)
+
+
+GRIDS = [(m, n) for m in range(2, 6) for n in range(m + 1, 6)]
+
+
+def assert_sample_equals_lfilter(spec, size, seeds):
+    # size 1 with the least burn-in is the smallest pool: 33 draws
+    burn_in = 32 if size == 1 else 64
+    for seed in seeds:
+        got = cq.sample(spec, size, seed, burn_in=burn_in).points
+        want = lfilter_sample(spec, size, seed, burn_in=burn_in)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("m, n", GRIDS)
+@pytest.mark.parametrize("size", [1, 1000, 200_000])
+def test_sample_equals_lfilter_bitwise(m, n, size):
+    # every cell occupied, unequal weights
+    rng = np.random.default_rng(m * 10 + n)
+    weights = rng.uniform(0.1, 1.0, size=m * n)
+    entries = [[i, j, w / weights.sum()] for (i, j), w in zip(np.ndindex(n, m), weights)]
+    spec = cq.load_config({"m": m, "n": n, "entries": entries})
+    assert_sample_equals_lfilter(spec, size, (0, 1, 20240816))
+
+
+@pytest.mark.parametrize("size", [1, 5000, 200_000])
+def test_sample_equals_lfilter_bitwise_on_a_skewed_carpet(size):
+    # Long runs of 0 digits only rescale a wrongly guessed block start, so
+    # they force many rerun rounds.
+    spec = cq.load_config({"m": 2, "n": 5, "entries": [[0, 0, 0.999], [4, 1, 0.001]]})
+    assert_sample_equals_lfilter(spec, size, (0, 3, 11))
 
 
 def test_bottom_half_mass(pool):
@@ -218,6 +266,37 @@ def test_tree_ties_go_to_lowest_index():
     assert np.array_equal(_nearest(points, centers[:500])[0], lowest)
 
 
+def tree_separation(centers):
+    from scipy.spatial import cKDTree
+
+    return cKDTree(centers).query(centers, k=2)[0][:, 1]
+
+
+def test_separation_equals_kdtree_bitwise(desk1, monkeypatch):
+    one = np.array([[0.25, 0.5]])
+    assert qz._separation(one)[0] == np.inf == tree_separation(one)[0]
+    dup = np.array([[0.1, 0.2], [0.7, 0.3], [0.1, 0.2]])
+    assert qz._separation(dup).tolist() == [0.0, tree_separation(dup)[1], 0.0]
+    rng = np.random.default_rng(8)
+    chaos = cq.sample(desk1, 5000, seed=2).points
+    for trial in range(300):
+        k = int(rng.integers(2, 513))
+        centers = (
+            rng.random((k, 2)),
+            rng.integers(0, 17, size=(k, 2)) / 16,  # exact ties and duplicates
+            rng.random((k, 2)) * 1e3,
+            chaos[rng.choice(len(chaos), size=k, replace=False)],
+        )[trial % 4]
+        got = qz._separation(centers)
+        assert np.array_equal(got.view(np.int64), tree_separation(centers).view(np.int64))
+    # above the threshold the tree runs; the dense search agrees there too
+    centers = chaos[:600]
+    assert np.array_equal(qz._separation(centers), tree_separation(centers))
+    monkeypatch.setattr(qz, "_TREE_THRESHOLD", 1000)
+    dense = qz._separation(centers)
+    assert np.array_equal(dense.view(np.int64), tree_separation(centers).view(np.int64))
+
+
 def tree_nearest(points, centers):
     """_nearest with the KD-tree path forced at any codebook size."""
     old = qz._TREE_THRESHOLD
@@ -280,6 +359,23 @@ def test_dense_matches_reference_bitwise(desk1, monkeypatch):
             if k == 1:
                 assert np.isinf(got[2]).all()
     assert ragged > 0
+
+
+def test_dense_holds_one_score_block_at_a_time(monkeypatch):
+    # 40k points against 100 centers run as 4 blocks of 1M scores (8 MB).
+    # Each block is freed before the next is built, so the traced peak is one
+    # block plus the per-point outputs (1 MB), not two blocks.
+    monkeypatch.setattr(qz, "_CHUNK_ENTRIES", 1_000_000)
+    rng = np.random.default_rng(31)
+    points, centers = rng.random((40_000, 2)), rng.random((100, 2))
+    block_bytes = 8 * qz._CHUNK_ENTRIES
+    tracemalloc.start()
+    try:
+        qz._dense(points, centers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block_bytes < peak < 1.5 * block_bytes
 
 
 def reference_lloyd(pool, k, r, init, max_iters=100, tol=1e-9, trace=None):
