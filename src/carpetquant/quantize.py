@@ -45,6 +45,8 @@ _CHUNK_ENTRIES = 4_000_000
 # scale squared) and of the bounds' running updates, so every kept label is
 # the one dense scoring would pick.
 _KEEP_MARGIN = 1e-9
+# Most steps one center update takes for r != 2.
+_CENTER_STEPS = 50
 
 
 class BadK(ValueError):
@@ -240,37 +242,55 @@ def distortion_stats(
 
 
 def _cell_centers(
-    points: np.ndarray, labels: np.ndarray, old: np.ndarray, r: float
+    px: np.ndarray,
+    py: np.ndarray,
+    labels: np.ndarray,
+    counts: np.ndarray,
+    old: np.ndarray,
+    r: float,
 ) -> np.ndarray:
     """Lloyd's center update, every cell at once; empty cells keep their center.
 
-    For r=2 the new center is the cell mean.  Otherwise a damped gradient
-    descent starts from the mean: 50 fixed steps of 0.5 / (local Lipschitz
-    estimate of the gradient), and a cell whose step is not finite (its
-    estimate is 0, or so small that the step overflows, as at large r) stays
-    where it is from then on.  The returned center is the best of {old center,
-    cell mean, descent end} by cell cost, the first on ties, which keeps the
-    Lloyd loop monotone.  Every per-cell sum is a bincount, so it adds the
-    cell's points in pool order.
+    px and py are the pool's coordinates, counts the cell sizes.  For r=2
+    the new center is the cell mean.  Otherwise each cell's cost, the sum of
+    |a - p|^r over its points, is lowered from the mean:
+
+    - r >= 1: the cost is convex, and _newton_centers runs a safeguarded
+      Newton iteration.  Each step a cell tries the Newton step, then its
+      nearest pool point (ties to the lowest pool index), then the damped
+      step below, and keeps a try only when it lowers the cost.  A cell is
+      done after three failed tries in a row; the loop stops when every cell
+      is done, or after _CENTER_STEPS steps.
+    - r < 1: the cost is not convex, and a Newton step can leave the basin
+      the damped descent stays in, for a worse local minimum.  So the
+      descent is damped gradient steps, _CENTER_STEPS of them: 0.5 / (local
+      Lipschitz estimate of the gradient) each, and a cell whose step is not
+      finite (its estimate is 0, or so small that the step overflows) stays
+      where it is from then on.
+
+    The returned center is the best of {old center, cell mean, descent end}
+    by cell cost, the first on ties, which keeps the Lloyd loop monotone.
+    Every per-cell sum is a bincount, so it adds the cell's points in pool
+    order.
     """
     k = len(old)
-    px, py = points.T.copy()
 
     def cell_sums(weights: np.ndarray) -> np.ndarray:
         return np.bincount(labels, weights=weights, minlength=k)
 
-    counts = np.bincount(labels, minlength=k)
     full = counts > 0
     mean = old.copy()
     mean[full, 0] = cell_sums(px)[full] / counts[full]
     mean[full, 1] = cell_sums(py)[full] / counts[full]
     if r == 2.0:
         return mean
+    if r >= 1.0:
+        return _newton_centers(px, py, labels, old, mean, r)
     ax, ay = mean.T.copy()
     coef = r * max(r - 1.0, 1.0)
     moving = np.ones(k, dtype=bool)  # an empty cell's estimate is 0
     with np.errstate(divide="ignore", over="ignore"):  # a frozen cell's step may be inf
-        for _ in range(50):
+        for _ in range(_CENTER_STEPS):
             dx = ax[labels] - px
             dy = ay[labels] - py
             w = np.maximum(np.hypot(dx, dy), 1e-12) ** (r - 2.0)
@@ -282,6 +302,124 @@ def _cell_centers(
     candidates = np.stack((old, mean, np.column_stack((ax, ay))))
     costs = [cell_sums(np.hypot(c[labels, 0] - px, c[labels, 1] - py) ** r) for c in candidates]
     return candidates[np.argmin(costs, axis=0), np.arange(k)]
+
+
+def _newton_centers(
+    px: np.ndarray, py: np.ndarray, labels: np.ndarray, old: np.ndarray, mean: np.ndarray, r: float
+) -> np.ndarray:
+    """Lower each cell's cost, the sum of |a - p|^r, from its mean (r >= 1, r != 2).
+
+    The Newton step is H^-1 g, where u is the unit vector from p to a and
+    w = max(|a - p|, 1e-12)^(r-2):
+
+        g = r sum w (a - p),    H = r sum w (I + (r-2) u u^T).
+
+    A cell takes it only where H is positive definite and the step finite,
+    and keeps it only when it gains at least a quarter of the decrease the
+    quadratic model predicts: near a point of weight, |t|^r with r < 2 sends
+    a Newton step from t to about -t, a tiny gain each time.  A failure
+    halves the share of the step the cell tries next, a success doubles it,
+    up to 1.  The nearest pool point is found with ufunc.at minima, the
+    lowest pool index among exact ties.  The damped step is the one of the
+    r < 1 loop.  At r = 1 a point at the center is a kink, not a smooth
+    term: it adds nothing to g or H, and the damped step is scaled by
+    max(0, 1 - count / |g|), so it leaves the points there only when the
+    pull |g| of the others exceeds their count, as in the modified Weiszfeld
+    step of Vardi and Zhang (PNAS 97, 2000).  A cell of cost 0 is done at once.
+
+    Point costs are w |a - p|^2, which is |a - p|^r beyond 1e-12, so the
+    old center, the mean and the end are compared on one formula.  Each
+    step's arrays hold only the points of cells still active, in pool order,
+    so a cell's sums are those over the whole pool.
+    """
+    k = len(old)
+    damp = 0.5 / max(r - 1.0, 1.0)
+
+    def probe(cx, cy, lab, x, y):
+        """Each point's squared distance to its center, and the cell sums at the centers.
+
+        The rows are the cost, sum w, g/r, at r = 1 the count of points at the
+        center, and last the entries xx, xy, yy of sum (w/|a - p|^2) (a - p)(a - p)^T.
+        """
+        dx = cx[lab] - x
+        dy = cy[lab] - y
+        d2 = dx * dx + dy * dy
+        clamped = np.maximum(d2, 1e-24)
+        w = clamped ** (0.5 * r - 1.0)
+        if r == 1.0:
+            held = d2 == 0.0
+            w[held] = 0.0
+        weights = [w * d2, w, w * dx, w * dy] + ([held] if r == 1.0 else [])
+        w = w / clamped
+        wx = w * dx
+        weights += [wx * dx, wx * dy, w * dy * dy]
+        return d2, np.array([np.bincount(lab, weights=v, minlength=k) for v in weights])
+
+    old_cost = probe(old[:, 0], old[:, 1], labels, px, py)[1][0]
+    ax, ay = mean.T.copy()
+    lab, x, y = labels, px, py
+    d2, sums = probe(ax, ay, lab, x, y)
+    mean_cost = sums[0].copy()
+    # next try of each cell: 0 Newton, 1 nearest point, 2 damped step, 3 done
+    tries = np.where(mean_cost > 0.0, 0, 3)
+    reach = np.ones(k)  # share of its Newton step a cell tries next
+    live = k
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_CENTER_STEPS):
+            active = tries < 3
+            still = int(active.sum())
+            if still == 0:
+                break
+            if still < live:
+                live = still
+                keep = active[lab]
+                lab, x, y, d2 = lab[keep], x[keep], y[keep], d2[keep]
+            cost, sw, gx, gy = sums[:4]
+            hxx, hxy, hyy = (r - 2.0) * sums[-3:]
+            hxx += sw
+            hyy += sw
+            det = hxx * hyy - hxy * hxy
+            sx = (hyy * gx - hxy * gy) / det
+            sy = (hxx * gy - hxy * gx) / det
+            newton = (tries == 0) & (hxx > 0.0) & (det > 0.0) & np.isfinite(sx) & np.isfinite(sy)
+            tries[(tries == 0) & ~newton] = 1
+            cx, cy = ax - reach * sx, ay - reach * sy
+
+            near = tries == 1
+            if near.any():
+                on = np.flatnonzero(near[lab])
+                closest = np.full(k, np.inf)
+                np.minimum.at(closest, lab[on], d2[on])
+                hit = on[d2[on] == closest[lab[on]]]
+                first = np.full(k, len(lab))
+                np.minimum.at(first, lab[hit], hit)
+                cx[near] = x[first[near]]
+                cy[near] = y[first[near]]
+
+            damped = tries == 2
+            if damped.any():
+                step = damp / sw
+                if r == 1.0:
+                    step *= np.maximum(1.0 - sums[4] / np.hypot(gx, gy), 0.0)
+                tries[damped & ~np.isfinite(step)] = 3
+                damped &= tries == 2
+                cx[damped] = (ax - step * gx)[damped]
+                cy[damped] = (ay - step * gy)[damped]
+
+            trying = newton | near | damped
+            new_d2, new_sums = probe(cx, cy, lab, x, y)
+            gain = cost - new_sums[0]
+            model = r * reach * (1.0 - 0.5 * reach) * (gx * sx + gy * sy)
+            better = trying & (gain > 0.0) & (~newton | (gain >= 0.25 * model))
+            tries[trying] += 1
+            tries[better] = 0
+            reach[newton] = np.where(better, np.minimum(2.0 * reach, 1.0), 0.5 * reach)[newton]
+            ax[better] = cx[better]
+            ay[better] = cy[better]
+            sums[:, better] = new_sums[:, better]
+            np.copyto(d2, new_d2, where=better[lab])
+    candidates = np.stack((old, mean, np.column_stack((ax, ay))))
+    return candidates[np.argmin((old_cost, mean_cost, sums[0]), axis=0), np.arange(k)]
 
 
 def _separation(centers: np.ndarray) -> np.ndarray:
@@ -354,7 +492,7 @@ def lloyd(
     """One Lloyd descent from a codebook or a seeded random init.
 
     Alternates nearest-point partition (ties to the lowest index) with
-    per-cell center updates (mean for r=2, damped descent otherwise).  Empty
+    per-cell center updates (_cell_centers).  Empty
     cells are reseeded on the farthest pool points and counted as repairs.
     Stops when the relative distortion improvement drops below tol; a descent
     that reaches max_iters first is reported as capped.
@@ -372,6 +510,7 @@ def lloyd(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     points = pool.points
+    px, py = points.T.copy()
     if isinstance(init, Codebook):
         centers = np.array(init.points, dtype=np.float64, copy=True)
         if centers.shape != (k, 2):
@@ -417,7 +556,7 @@ def lloyd(
             break
         prev = dist
         old = centers
-        centers = _cell_centers(points, labels, old, r)
+        centers = _cell_centers(px, py, labels, counts, old, r)
         shift = np.sqrt(_sq_norms(centers - old))
         top = int(np.argmax(shift))
         runner_up = np.delete(shift, top).max(initial=0.0)

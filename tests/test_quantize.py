@@ -109,11 +109,20 @@ def test_k1_exact_mean_and_variance(pool):
     assert res.distortion == pytest.approx(var_sum, rel=1e-9)
 
 
-def test_lloyd_monotone_trace(pool):
+def test_lloyd_monotone_trace(pool, desk1):
     trace = []
     res = cq.lloyd(pool, 8, 2.0, init=42, trace=trace)
     assert len(trace) == res.iters
     assert all(b <= a * (1 + 1e-12) for a, b in zip(trace, trace[1:]))
+    # For r != 2 the best-of-three guard of the center update keeps it monotone.
+    small = cq.sample(desk1, 2000, seed=5)
+    for r in (0.5, 1.0, 1.5, 3.0):
+        for k in (3, 8, 16):
+            for init in range(3):
+                trace = []
+                res = cq.lloyd(small, k, r, init=init, trace=trace)
+                assert len(trace) == res.iters > 1
+                assert all(b <= a * (1 + 1e-12) for a, b in zip(trace, trace[1:])), (r, k, init)
 
 
 def test_lloyd_bad_k(pool, desk1):
@@ -409,12 +418,21 @@ def reference_lloyd(pool, k, r, init, max_iters=100, tol=1e-9, trace=None):
         if math.isfinite(prev) and prev - dist <= tol * abs(prev):
             break
         prev = dist
-        centers = qz._cell_centers(points, labels, centers, r)
+        px, py = points.T.copy()
+        centers = qz._cell_centers(px, py, labels, counts, centers, r)
     return centers, dist, iters, repairs
 
 
+def cell_centers(points, labels, old, r):
+    px, py = points.T.copy()
+    return qz._cell_centers(px, py, labels, np.bincount(labels, minlength=len(old)), old, r)
+
+
 def reference_cell_centers(points, labels, old, r):
-    """The per-cell loop of the r != 2 center update, one cell at a time."""
+    """The damped center update (50 fixed steps), one cell at a time.
+
+    It is the update at r < 1, and the baseline the r >= 1 solver must match
+    or beat."""
     k = len(old)
     new = old.copy()
     for c in range(k):
@@ -441,11 +459,90 @@ def reference_cell_centers(points, labels, old, r):
     return new
 
 
+def pool_sum(values):
+    """Sum in array order, as a bincount adds a cell's points."""
+    return float(np.bincount(np.zeros(len(values), dtype=np.intp), weights=values)[0])
+
+
+def reference_newton_centers(points, labels, old, r):
+    """The r >= 1 center update, one cell at a time."""
+    new = old.copy()
+    for c in range(len(old)):
+        members = points[labels == c]
+        if len(members) == 0:
+            continue
+        x, y = members.T.copy()
+
+        def probe(a):
+            dx, dy = a[0] - x, a[1] - y
+            d2 = dx * dx + dy * dy
+            clamped = np.maximum(d2, 1e-24)
+            w = clamped ** (0.5 * r - 1.0)
+            if r == 1.0:
+                w[d2 == 0.0] = 0.0
+            q = w / clamped
+            return d2, {
+                "cost": pool_sum(w * d2), "sw": pool_sum(w),
+                "g": np.array([pool_sum(w * dx), pool_sum(w * dy)]),
+                "held": float(np.count_nonzero(d2 == 0.0)),
+                "s": np.array([pool_sum(q * dx * dx), pool_sum(q * dx * dy), pool_sum(q * dy * dy)]),
+            }
+
+        mean = np.array([pool_sum(x), pool_sum(y)]) / len(x)
+        old_cost = probe(old[c])[1]["cost"]
+        a = mean.copy()
+        d2, at = probe(a)
+        mean_cost = at["cost"]
+        tries, reach = (0 if mean_cost > 0.0 else 3), 1.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for _ in range(50):
+                if tries == 3:
+                    break
+                g = at["g"]
+                sxx, sxy, syy = (r - 2.0) * at["s"]
+                h = np.array([[at["sw"] + sxx, sxy], [sxy, at["sw"] + syy]])
+                det = h[0, 0] * h[1, 1] - h[0, 1] * h[0, 1]
+                s = np.array([h[1, 1] * g[0] - h[0, 1] * g[1], h[0, 0] * g[1] - h[0, 1] * g[0]]) / det
+                newton = tries == 0 and h[0, 0] > 0.0 and det > 0.0 and np.isfinite(s).all()
+                if tries == 0 and not newton:
+                    tries = 1
+                if newton:
+                    cand = a - reach * s
+                elif tries == 1:
+                    cand = members[int(np.argmin(d2))]  # first of equal minima
+                else:
+                    step = 0.5 / max(r - 1.0, 1.0) / at["sw"]
+                    if r == 1.0:
+                        step *= max(1.0 - at["held"] / np.hypot(g[0], g[1]), 0.0)
+                    if not np.isfinite(step):
+                        tries = 3
+                        continue
+                    cand = a - step * g
+                cand_d2, cand_at = probe(cand)
+                gain = at["cost"] - cand_at["cost"]
+                model = r * reach * (1.0 - 0.5 * reach) * (g[0] * s[0] + g[1] * s[1])
+                ok = gain > 0.0 and (not newton or gain >= 0.25 * model)
+                if newton:
+                    reach = min(2.0 * reach, 1.0) if ok else 0.5 * reach
+                if ok:
+                    a, d2, at, tries = cand, cand_d2, cand_at, 0
+                else:
+                    tries += 1
+        costs = [old_cost, mean_cost, at["cost"]]
+        new[c] = (old[c], mean, a)[int(np.argmin(costs))]
+    return new
+
+
 def cell_costs(points, labels, centers, r):
     return np.array([
         float((np.hypot(*(centers[c] - points[labels == c]).T) ** r).sum())
         for c in range(len(centers))
     ])
+
+
+def assert_no_worse_than_damped(points, labels, old, new, r):
+    damped = cell_costs(points, labels, reference_cell_centers(points, labels, old, r), r)
+    assert (cell_costs(points, labels, new, r) <= damped * (1.0 + 1e-15)).all()
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 3.0])
@@ -459,15 +556,10 @@ def test_vectorised_centers_match_per_cell_loop(desk1, k, r):
     if k > 1:
         labels[labels >= k - 2] = 0
         labels[5] = k - 2  # a single-member cell next to an empty one
-    new = qz._cell_centers(points, labels, old, r)
-    ref = reference_cell_centers(points, labels, old, r)
+    new = cell_centers(points, labels, old, r)
     counts = np.bincount(labels, minlength=k)
     assert k == 1 or (counts[k - 1], counts[k - 2]) == (0, 1)
     assert np.array_equal(new[counts == 0], old[counts == 0])
-    assert np.allclose(
-        cell_costs(points, labels, new, r), cell_costs(points, labels, ref, r),
-        rtol=1e-12, atol=0.0,
-    )
 
     def pick(center, c):  # 0 old center, 1 cell mean, 2 descent end
         mean = points[labels == c].mean(axis=0) if counts[c] else old[c]
@@ -476,6 +568,16 @@ def test_vectorised_centers_match_per_cell_loop(desk1, k, r):
                 return i
         return 2
 
+    if r >= 1.0:
+        assert np.allclose(new, reference_newton_centers(points, labels, old, r), rtol=1e-12, atol=0.0)
+        assert_no_worse_than_damped(points, labels, old, new, r)
+        assert 2 in [pick(new[c], c) for c in range(k)]  # the solver itself is compared
+        return
+    ref = reference_cell_centers(points, labels, old, r)
+    assert np.allclose(
+        cell_costs(points, labels, new, r), cell_costs(points, labels, ref, r),
+        rtol=1e-12, atol=0.0,
+    )
     picks = [(pick(new[c], c), pick(ref[c], c)) for c in range(k)]
     assert (2, 2) in picks  # the descent itself is compared, not only the guard
     for c, (mine, theirs) in enumerate(picks):
@@ -484,16 +586,17 @@ def test_vectorised_centers_match_per_cell_loop(desk1, k, r):
 
 
 def test_frozen_cell_matches_loop_break():
-    # At r=40 a cell of coincident points has weights (1e-12)^38, which
-    # underflow to 0: its Lipschitz estimate is 0 and the loop breaks at
-    # the mean.  Another cell keeps descending next to it.
+    # At r=40 a cell of coincident points costs 0 at its mean, so it stays
+    # there, where the damped loop's weights (1e-12)^38 underflow to 0 and
+    # break it.  Another cell keeps descending next to it.
     points = np.array([[0.25, 0.5]] * 4 + [[0.5, 0.5], [0.75, 0.625], [0.625, 0.875]])
     labels = np.array([0, 0, 0, 0, 1, 1, 1])
     old = np.array([[0.3, 0.4], [0.6, 0.6]])
-    new = qz._cell_centers(points, labels, old, 40.0)
-    ref = reference_cell_centers(points, labels, old, 40.0)
+    new = cell_centers(points, labels, old, 40.0)
     assert np.array_equal(new[0], [0.25, 0.5])
-    assert np.allclose(new, ref, rtol=0.0, atol=1e-12)
+    assert np.array_equal(reference_cell_centers(points, labels, old, 40.0)[0], [0.25, 0.5])
+    assert np.allclose(new, reference_newton_centers(points, labels, old, 40.0), rtol=1e-12, atol=0.0)
+    assert_no_worse_than_damped(points, labels, old, new, 40.0)
     assert not np.array_equal(new[1], old[1])
 
 
@@ -503,9 +606,78 @@ def test_cost_ties_keep_the_old_center():
     points = np.array([[0.0, 0.0], [0.5, 0.0]])
     old = np.array([[0.0, 0.0]])
     labels = np.zeros(2, dtype=np.int64)
-    new = qz._cell_centers(points, labels, old, 1.0)
+    new = cell_centers(points, labels, old, 1.0)
     assert np.array_equal(new, old)
     assert np.array_equal(new, reference_cell_centers(points, labels, old, 1.0))
+
+
+def one_cell(points):
+    return np.zeros(len(points), dtype=np.int64)
+
+
+def test_r1_median_of_an_obtuse_triangle_is_its_vertex():
+    # The median of three points is the vertex whose angle is at least 120
+    # degrees: the cost has a kink there, which the nearest-point try reaches.
+    for points, vertex in (
+        (np.array([[0.0, 0.375], [0.5, 0.5], [1.0, 0.375]]), 1),  # 152 degrees
+        (np.array([[0.1, 0.2], [0.9, 0.3], [0.45, 0.33]]), 2),  # 156 degrees
+    ):
+        new = cell_centers(points, one_cell(points), np.array([[0.3, 0.9]]), 1.0)
+        assert np.array_equal(new[0], points[vertex])
+
+
+def test_r1_median_of_collinear_points_is_the_middle_one():
+    # An odd number of points on a line: the median is the middle point.  In
+    # the second set the point nearest the mean is not the middle one.
+    direction = np.array([0.6, 0.3])
+    for t, middle in (([1.0, 0.0, 0.3, 0.9, 0.5], 4), ([0.0, 0.01, 0.02, 0.03, 0.04, 5.0, 6.0], 3)):
+        points = np.array([0.1, 0.2]) + np.outer(np.array(t) / max(t), direction)
+        new = cell_centers(points, one_cell(points), np.array([[0.3, 0.9]]), 1.0)
+        assert np.array_equal(new[0], points[middle])
+
+
+@pytest.mark.parametrize("r", [1.5, 3.0])
+def test_center_of_a_point_symmetric_cell_is_its_center(r):
+    center = np.array([0.4, 0.6])
+    arms = np.array([[0.1, 0.05], [-0.02, 0.13], [0.07, -0.09], [0.3, 0.01]])
+    points = np.vstack([center + arms, center - arms])
+    new = cell_centers(points, one_cell(points), np.array([[0.3, 0.9]]), r)
+    assert np.allclose(new[0], center, rtol=0.0, atol=1e-12)
+
+
+def test_nearest_point_ties_go_to_the_lowest_pool_index():
+    # The mean (2/3, 7/12) is equally far from the last two points, and the
+    # solver's path, hence its last bits, depends on which one it tries.
+    points = np.array([[0.25, 1.0], [0.75, 0.25], [1.0, 0.5]])
+    old = np.array([[0.76, 1.01]])
+    for order in ([0, 1, 2], [0, 2, 1]):
+        pts = points[order]
+        new = cell_centers(pts, one_cell(pts), old, 1.0)
+        assert np.allclose(new, reference_newton_centers(pts, one_cell(pts), old, 1.0), rtol=1e-12, atol=0.0)
+
+
+def test_r15_center_next_to_a_heavy_point():
+    # 88 copies of one point and one point L = 1/16 to its right: at r=1.5
+    # the minimizer lies L / (1 + 88^2) right of the heavy point.  The
+    # Newton step of |t|^1.5 flips t to -t, so only the sufficient-decrease
+    # rule stops it from bouncing around the heavy point for every step.
+    points = np.array([[0.75, 0.75]] * 88 + [[0.8125, 0.75]])
+    old = np.array([[0.7536, 0.7346]])
+    new = cell_centers(points, one_cell(points), old, 1.5)
+    assert np.allclose(new[0], [0.75 + 0.0625 / 7745, 0.75], rtol=0.0, atol=1e-12)
+    assert_no_worse_than_damped(points, one_cell(points), old, new, 1.5)
+
+
+def test_r1_center_leaves_a_doubled_point_that_is_not_the_median():
+    # The point nearest the mean is held by two copies, and the pull of the
+    # other three (2.08) exceeds their count: the damped step must leave it
+    # (Vardi and Zhang's rule), where the plain one stays.
+    points = np.array([[3, 5], [3, 5], [13, 3], [6, 8], [6, 8]]) / 16
+    old = np.array([[0.4365, 0.1974]])
+    new = cell_centers(points, one_cell(points), old, 1.0)
+    assert not np.array_equal(new[0], points[3])
+    assert_no_worse_than_damped(points, one_cell(points), old, new, 1.0)
+    assert np.allclose(new, reference_newton_centers(points, one_cell(points), old, 1.0), rtol=1e-12, atol=0.0)
 
 
 def assert_matches_reference(pool, k, r, init, max_iters=100):
