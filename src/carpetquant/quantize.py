@@ -253,20 +253,21 @@ def _cell_centers(
 
     px and py are the pool's coordinates, counts the cell sizes.  For r=2
     the new center is the cell mean.  Otherwise each cell's cost, the sum of
-    |a - p|^r over its points, is lowered from the mean:
+    |a - p|^r over its points, is lowered:
 
     - r >= 1: the cost is convex, and _newton_centers runs a safeguarded
-      Newton iteration.  Each step a cell tries the Newton step, then its
-      nearest pool point (ties to the lowest pool index), then the damped
-      step below, and keeps a try only when it lowers the cost.  A cell is
-      done after three failed tries in a row; the loop stops when every cell
-      is done, or after _CENTER_STEPS steps.
+      Newton iteration from the better of the old center and the mean.
+      Each step a cell tries the Newton step, then its nearest pool point
+      (ties to the lowest pool index), then the damped step below, and
+      keeps a try only when it lowers the cost.  A cell is done after three
+      failed tries in a row; the loop stops when every cell is done, or
+      after _CENTER_STEPS steps.
     - r < 1: the cost is not convex, and a Newton step can leave the basin
       the damped descent stays in, for a worse local minimum.  So the
-      descent is damped gradient steps, _CENTER_STEPS of them: 0.5 / (local
-      Lipschitz estimate of the gradient) each, and a cell whose step is not
-      finite (its estimate is 0, or so small that the step overflows) stays
-      where it is from then on.
+      descent starts from the mean and takes _CENTER_STEPS damped gradient
+      steps: 0.5 / (local Lipschitz estimate of the gradient) each, and a
+      cell whose step is not finite (its estimate is 0, or so small that the
+      step overflows) stays where it is from then on.
 
     The returned center is the best of {old center, cell mean, descent end}
     by cell cost, the first on ties, which keeps the Lloyd loop monotone.
@@ -307,8 +308,11 @@ def _cell_centers(
 def _newton_centers(
     px: np.ndarray, py: np.ndarray, labels: np.ndarray, old: np.ndarray, mean: np.ndarray, r: float
 ) -> np.ndarray:
-    """Lower each cell's cost, the sum of |a - p|^r, from its mean (r >= 1, r != 2).
+    """Lower each cell's cost, the sum of |a - p|^r, for r >= 1 and r != 2.
 
+    A cell starts from the better of its old center and its mean, the old
+    one on ties: after Lloyd's first iterations the old center is usually
+    near the new minimum.
     The Newton step is H^-1 g, where u is the unit vector from p to a and
     w = max(|a - p|, 1e-12)^(r-2):
 
@@ -355,13 +359,17 @@ def _newton_centers(
         weights += [wx * dx, wx * dy, w * dy * dy]
         return d2, np.array([np.bincount(lab, weights=v, minlength=k) for v in weights])
 
-    old_cost = probe(old[:, 0], old[:, 1], labels, px, py)[1][0]
-    ax, ay = mean.T.copy()
     lab, x, y = labels, px, py
-    d2, sums = probe(ax, ay, lab, x, y)
-    mean_cost = sums[0].copy()
+    d2, sums = probe(mean[:, 0], mean[:, 1], lab, x, y)
+    old_d2, old_sums = probe(old[:, 0], old[:, 1], lab, x, y)
+    mean_cost, old_cost = sums[0].copy(), old_sums[0]
+    # Each cell starts from the better of its mean and its old center.
+    warm = old_cost <= mean_cost
+    ax, ay = np.where(warm, old.T, mean.T)
+    np.copyto(sums, old_sums, where=warm)
+    np.copyto(d2, old_d2, where=warm[lab])
     # next try of each cell: 0 Newton, 1 nearest point, 2 damped step, 3 done
-    tries = np.where(mean_cost > 0.0, 0, 3)
+    tries = np.where(sums[0] > 0.0, 0, 3)
     reach = np.ones(k)  # share of its Newton step a cell tries next
     live = k
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

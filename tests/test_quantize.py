@@ -465,7 +465,7 @@ def pool_sum(values):
 
 
 def reference_newton_centers(points, labels, old, r):
-    """The r >= 1 center update, one cell at a time."""
+    """The r >= 1 center update, one cell at a time, from the better of old center and mean."""
     new = old.copy()
     for c in range(len(old)):
         members = points[labels == c]
@@ -490,10 +490,10 @@ def reference_newton_centers(points, labels, old, r):
 
         mean = np.array([pool_sum(x), pool_sum(y)]) / len(x)
         old_cost = probe(old[c])[1]["cost"]
-        a = mean.copy()
+        mean_cost = probe(mean)[1]["cost"]
+        a = old[c].copy() if old_cost <= mean_cost else mean.copy()
         d2, at = probe(a)
-        mean_cost = at["cost"]
-        tries, reach = (0 if mean_cost > 0.0 else 3), 1.0
+        tries, reach = (0 if at["cost"] > 0.0 else 3), 1.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for _ in range(50):
                 if tries == 3:
@@ -572,6 +572,10 @@ def test_vectorised_centers_match_per_cell_loop(desk1, k, r):
         assert np.allclose(new, reference_newton_centers(points, labels, old, r), rtol=1e-12, atol=0.0)
         assert_no_worse_than_damped(points, labels, old, new, r)
         assert 2 in [pick(new[c], c) for c in range(k)]  # the solver itself is compared
+        # From the end as old centers, cells start there rather than at the mean.
+        again = cell_centers(points, labels, new, r)
+        assert np.allclose(again, reference_newton_centers(points, labels, new, r), rtol=1e-12, atol=0.0)
+        assert (cell_costs(points, labels, again, r) <= cell_costs(points, labels, new, r) * (1 + 1e-15)).all()
         return
     ref = reference_cell_centers(points, labels, old, r)
     assert np.allclose(
