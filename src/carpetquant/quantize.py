@@ -312,9 +312,8 @@ def _newton_centers(
 
     A cell starts from the better of its old center and its mean, the old
     one on ties: after Lloyd's first iterations the old center is usually
-    near the new minimum.
-    The Newton step is H^-1 g, where u is the unit vector from p to a and
-    w = max(|a - p|, 1e-12)^(r-2):
+    near the new minimum.  The Newton step is H^-1 g, where u is the unit
+    vector from p to a and w = max(|a - p|, 1e-12)^(r-2):
 
         g = r sum w (a - p),    H = r sum w (I + (r-2) u u^T).
 
@@ -363,7 +362,6 @@ def _newton_centers(
     d2, sums = probe(mean[:, 0], mean[:, 1], lab, x, y)
     old_d2, old_sums = probe(old[:, 0], old[:, 1], lab, x, y)
     mean_cost, old_cost = sums[0].copy(), old_sums[0]
-    # Each cell starts from the better of its mean and its old center.
     warm = old_cost <= mean_cost
     ax, ay = np.where(warm, old.T, mean.T)
     np.copyto(sums, old_sums, where=warm)
@@ -500,8 +498,8 @@ def lloyd(
     """One Lloyd descent from a codebook or a seeded random init.
 
     Alternates nearest-point partition (ties to the lowest index) with
-    per-cell center updates (_cell_centers).  Empty
-    cells are reseeded on the farthest pool points and counted as repairs.
+    per-cell center updates (_cell_centers).  Empty cells are reseeded on
+    the farthest pool points and counted as repairs.
     Stops when the relative distortion improvement drops below tol; a descent
     that reaches max_iters first is reported as capped.
 
