@@ -418,8 +418,7 @@ def reference_lloyd(pool, k, r, init, max_iters=100, tol=1e-9, trace=None):
         if math.isfinite(prev) and prev - dist <= tol * abs(prev):
             break
         prev = dist
-        px, py = points.T.copy()
-        centers = qz._cell_centers(px, py, labels, counts, centers, r)
+        centers = cell_centers(points, labels, centers, r)
     return centers, dist, iters, repairs
 
 
