@@ -56,6 +56,9 @@ __all__ = [
 
 # Largest code space held in int64 arrays; beyond it blocks are dtype=object.
 INT_LIMIT = 2**62
+# _count_classes reads a code's digits in chunks, as many per chunk as keep
+# the chunk's lookup table within this many entries.
+_KEY_TABLE = 2**16
 
 
 class BadWord(ValueError):
@@ -265,12 +268,37 @@ def all_codes(spec: CarpetSpec, k: int) -> Block:
     return blk
 
 
+def _add_digit_keys(
+    key: np.ndarray, values: np.ndarray, base: int, count: int, weight: np.ndarray
+) -> np.ndarray:
+    """key plus the weights of the ``count`` base-``base`` digits of each value.
+
+    The digits go chunk by chunk, lowest chunk first, one lookup per chunk
+    in a table of at most _KEY_TABLE entries: entry v of tables[L - 1] sums
+    ``weight`` over the L digits of v, zeros included.  So a last, shorter
+    chunk is read with the table of its own length; a longer one would count
+    its missing digits as zeros.
+    """
+    tables = [weight]
+    while len(tables) < count and base ** (len(tables) + 1) <= _KEY_TABLE:
+        tables.append((tables[-1][:, None] + weight).reshape(-1))
+    while count > 0:
+        size = min(len(tables), count)
+        chunk = (values % base**size).astype(np.int64, copy=False)
+        key = key + tables[size - 1][chunk]
+        values = values // base**size
+        count -= size
+    return key
+
+
 def _count_classes(spec: CarpetSpec, blk: Block) -> tuple[np.ndarray, list[list[int]]]:
     """Words grouped by digit counts: class of each word, and each class's counts.
 
     A count vector holds how often each cell rank, then each occupied row,
     occurs.  The class key adds base^c for every occurrence of digit c; no
     digit occurs more than k times, so base = k + 1 keeps the counts apart.
+    The keys are exact integer sums, so their order of summation (chunk by
+    chunk, see _add_digit_keys) does not change them.
     """
     t = tables(spec)
     g, lk, base = len(t.cells), ell(spec, blk.k), blk.k + 1
@@ -280,10 +308,8 @@ def _count_classes(spec: CarpetSpec, blk: Block) -> tuple[np.ndarray, list[list[
     row_rank = np.zeros(spec.m, dtype=np.int64)
     row_rank[t.rows] = np.arange(len(t.rows))
     key = np.zeros(len(blk.a), dtype=dtype)
-    for col in _digits(blk.a, g, lk).T:
-        key = key + weight[col]
-    for col in _digits(blk.b, spec.m, blk.k - lk).T:
-        key = key + weight[g + row_rank[col]]
+    key = _add_digit_keys(key, blk.a, g, lk, weight[:g])
+    key = _add_digit_keys(key, blk.b, spec.m, blk.k - lk, weight[g + row_rank])
     uniq, inverse = np.unique(key, return_inverse=True)
     counts = [[u // base**c % base for c in range(width)] for u in uniq.tolist()]
     return inverse.reshape(-1), counts

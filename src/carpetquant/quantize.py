@@ -12,6 +12,7 @@ scaling-law checks compare.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,7 +149,9 @@ def _sq_norms(v: np.ndarray) -> np.ndarray:
     return x * x + y * y
 
 
-def _dense(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, ...]:
+def _dense(
+    points: np.ndarray, centers: np.ndarray, distances_only: bool = False
+) -> tuple[np.ndarray, ...] | np.ndarray:
     """Dense scoring: labels, exact squared distances, second-nearest squared distances.
 
     The argmin runs on |c|^2 - 2 p.c (the per-point |p|^2 term cannot change
@@ -159,13 +162,18 @@ def _dense(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, ...]:
     k = 1), so it carries the score's rounding.  That score is found by a
     second argmin and gathered by its flat index: a minimum is one of the row's
     elements, so it is the float a row-wise min would return.
+
+    With distances_only the squared distances alone are returned, and the
+    mask, the second argmin and its gather are skipped.  The distances do not
+    depend on them, so they are the same floats.
     """
     k = len(centers)
     c2 = _sq_norms(centers)
     n = len(points)
-    labels = np.empty(n, dtype=np.int64)
     dmin2 = np.empty(n, dtype=np.float64)
-    second2 = np.empty(n, dtype=np.float64)
+    if not distances_only:
+        labels = np.empty(n, dtype=np.int64)
+        second2 = np.empty(n, dtype=np.float64)
     step = max(1, _CHUNK_ENTRIES // max(k, 1))
     for start in range(0, n, step):
         block = points[start : start + step]
@@ -173,19 +181,32 @@ def _dense(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, ...]:
         scores *= -2.0
         scores += c2
         lab = np.argmin(scores, axis=1)
-        labels[start : start + step] = lab
         dmin2[start : start + step] = _sq_norms(block - centers.take(lab, axis=0))
-        rows = np.arange(0, scores.size, k)  # flat index of each row's first score
-        np.put(scores, rows + lab, np.inf)
-        rest = scores.take(rows + np.argmin(scores, axis=1)) + _sq_norms(block)
-        second2[start : start + step] = np.maximum(rest, 0.0)
+        if not distances_only:
+            labels[start : start + step] = lab
+            rows = np.arange(0, scores.size, k)  # flat index of each row's first score
+            np.put(scores, rows + lab, np.inf)
+            rest = scores.take(rows + np.argmin(scores, axis=1)) + _sq_norms(block)
+            second2[start : start + step] = np.maximum(rest, 0.0)
         # Free this block before the next one is built, so that only one
         # _CHUNK_ENTRIES block (32 MB) is alive at a time, not two.
         del scores
+    if distances_only:
+        return dmin2
     return labels, dmin2, second2
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, ...]:
+def _cpus() -> int:
+    """CPUs this process may run on; every KD-tree query uses them all."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _nearest(
+    points: np.ndarray, centers: np.ndarray, distances_only: bool = False
+) -> tuple[np.ndarray, ...] | np.ndarray:
     """Nearest-center labels, squared distances, and second-nearest squared distances.
 
     Up to _TREE_THRESHOLD centers the dense kernel scores every pair.  Above
@@ -193,12 +214,22 @@ def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, ...]:
     the dense kernel relabels those points, so both paths give ties to the
     lowest index.  The tree's distances are kept as they are: they agree with
     the dense ones to rounding, not bit for bit.
+
+    With distances_only the squared nearest distances alone are returned,
+    and the tree looks for one center, not two.  A point's nearest distance
+    comes from the same formula however many neighbours the tree seeks, and
+    each point's query is independent of the others and of the worker
+    threads it is split across, so these are the same floats.
     """
     if len(centers) <= _TREE_THRESHOLD:
-        return _dense(points, centers)
+        return _dense(points, centers, distances_only)
     from scipy.spatial import cKDTree
 
-    dist, idx = cKDTree(centers).query(points, k=2)
+    tree = cKDTree(centers)
+    if distances_only:
+        first = tree.query(points, k=1, workers=_cpus())[0]
+        return first * first
+    dist, idx = tree.query(points, k=2, workers=_cpus())
     labels = idx[:, 0].astype(np.int64)
     tied = np.flatnonzero(dist[:, 0] == dist[:, 1])
     if len(tied):
@@ -215,7 +246,7 @@ def _check_r(r: float) -> None:
 def distortion(pool: SamplePool, cb: Codebook, r: float) -> float:
     """(1/n) sum of r-th powers of nearest-codeword distances over the pool."""
     _check_r(r)
-    _, dmin2, _ = _nearest(pool.points, cb.points)
+    dmin2 = _nearest(pool.points, cb.points, distances_only=True)
     return float(np.mean(dmin2 ** (r / 2.0)))
 
 
@@ -231,7 +262,7 @@ def distortion_stats(
     _check_r(r)
     if batches < 1:
         raise ValueError(f"batches must be >= 1, got {batches}")
-    _, dmin2, _ = _nearest(pool.points, cb.points)
+    dmin2 = _nearest(pool.points, cb.points, distances_only=True)
     dr = dmin2 ** (r / 2.0)
     value = float(np.mean(dr))
     b = min(batches, len(dr))
@@ -440,7 +471,7 @@ def _separation(centers: np.ndarray) -> np.ndarray:
     if k > _TREE_THRESHOLD:
         from scipy.spatial import cKDTree
 
-        return cKDTree(centers).query(centers, k=2)[0][:, 1]
+        return cKDTree(centers).query(centers, k=2, workers=_cpus())[0][:, 1]
     x, y = centers[:, 0], centers[:, 1]
     d2 = x[:, None] - x
     d2 *= d2

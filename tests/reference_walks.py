@@ -498,3 +498,22 @@ def reference_values(spec, consts, words):
         [log_energy(spec, consts, w) for w in words],
         [log_w_mass(pw, embed(w)) for w in words],
     )
+
+
+def reference_count_classes(spec, blk):
+    """Count classes keyed digit by digit: one pass over the block per digit of every word."""
+    t = codes.tables(spec)
+    g, lk, base = len(t.cells), ell(spec, blk.k), blk.k + 1
+    width = g + len(t.rows)
+    dtype = np.int64 if base**width < codes.INT_LIMIT else object
+    weight = np.array([base**c for c in range(width)], dtype=dtype)
+    row_rank = np.zeros(spec.m, dtype=np.int64)
+    row_rank[t.rows] = np.arange(len(t.rows))
+    key = np.zeros(len(blk.a), dtype=dtype)
+    for col in codes._digits(blk.a, g, lk).T:
+        key = key + weight[col]
+    for col in codes._digits(blk.b, spec.m, blk.k - lk).T:
+        key = key + weight[g + row_rank[col]]
+    uniq, inverse = np.unique(key, return_inverse=True)
+    counts = [[u // base**c % base for c in range(width)] for u in uniq.tolist()]
+    return inverse.reshape(-1), counts

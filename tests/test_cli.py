@@ -296,6 +296,21 @@ def test_certify_stdout_is_byte_identical(desk1_path, tmp_path, capsys, command,
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_DIGESTS[(command, carpet, r)]
 
 
+# SHA-256 of `proxy --r 2 --j 2:5 --samples 20000 --seed 7` stdout, recorded
+# while distortion still computed every point's second-nearest distance.  The
+# run scores j = 2, 3 on the dense kernel and j = 4, 5 on the KD-tree.  The
+# distortions carry the rounding of this platform's libm and BLAS, so the
+# digest holds only where they round as the recording ones did.
+PROXY_DIGEST = "8063ab8d5d5b73eb966e356a4627f67fd3ba18ca279338d0a1a5c415f7e551bd"
+
+
+def test_proxy_stdout_is_byte_identical(desk1_path, capsys):
+    argv = ["--r", "2", "--j", "2:5", "--samples", "20000", "--seed", "7"]
+    assert cli.main(["proxy", "--config", desk1_path] + argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PROXY_DIGEST
+
+
 def test_certify_prints_an_overflowing_growth_bound_as_inf(desk1_path, capsys):
     # at r = 800, (mn)^H1 leaves the float range; the check is decided in integers
     assert cli.main(["certify", "--config", desk1_path, "--r", "800", "--j", "0:1"]) == 0

@@ -24,6 +24,7 @@ from reference_walks import (
     rect,
     reference_all_words,
     reference_build_upsilon,
+    reference_count_classes,
     reference_gamma_pairs,
     reference_l1_l2,
     reference_log_epsilon,
@@ -198,6 +199,51 @@ def test_object_codes_match_int64_codes(desk1, monkeypatch, config, r):
     assert {blk.a.dtype for blk in fam.blocks + res.l1_codes.blocks} == {np.dtype(object)}
     for words in (ups.codes, fam, res.l1_codes):
         assert count_class_values(spec, consts, words) == reference_values(spec, consts, words.words)
+
+
+def check_count_classes(monkeypatch):
+    """Make every count-class grouping assert equality with the digit-by-digit loop.
+
+    Returns the list of blocks it has checked.
+    """
+    shipped, seen = codes._count_classes, []
+
+    def checked(spec, blk):
+        inverse, counts = shipped(spec, blk)
+        want_inverse, want_counts = reference_count_classes(spec, blk)
+        assert np.array_equal(inverse, want_inverse) and counts == want_counts, blk.k
+        seen.append(blk)
+        return inverse, counts
+
+    monkeypatch.setattr(codes, "_count_classes", checked)
+    return seen
+
+
+@pytest.mark.parametrize("config, r", [("desk1", 1.0), ("desk1", 2.0), ("tie", 1.0)])
+def test_count_classes_match_the_digit_loop_in_certify(desk1, monkeypatch, config, r):
+    spec = desk1 if config == "desk1" else cq.load_config(TIE)
+    seen = check_count_classes(monkeypatch)
+    cq.certify(spec, cq.constants(spec, r), range(0, 7))
+    assert max(blk.k for blk in seen) >= 12 and len(seen) > 50
+
+
+@pytest.mark.parametrize("limit", [codes.INT_LIMIT, 40], ids=["int64", "object"])
+@pytest.mark.parametrize("config", ["desk1", "tie"])
+def test_count_classes_match_the_digit_loop_on_short_chunks(desk1, monkeypatch, config, limit):
+    spec = desk1 if config == "desk1" else cq.load_config(TIE)
+    seen = check_count_classes(monkeypatch)
+    # with tiny tables a chunk holds 2 cell digits (3 cells) or 3 row digits (m = 2),
+    # so most orders end each part on a shorter chunk
+    monkeypatch.setattr(codes, "_KEY_TABLE", 9)
+    monkeypatch.setattr(codes, "INT_LIMIT", limit)  # 40: object blocks past the first orders
+    for k in range(0, 12):
+        codes._count_classes(spec, codes.all_codes(spec, k))
+    cq.certify(spec, cq.constants(spec, 1.0), range(0, 5))
+    ells = [(blk.k, cq.ell(spec, blk.k)) for blk in seen]
+    assert any(lk > 2 and lk % 2 for _, lk in ells)
+    assert any(k - lk > 3 and (k - lk) % 3 for k, lk in ells)
+    want = {np.dtype(np.int64), np.dtype(object)} if limit == 40 else {np.dtype(np.int64)}
+    assert {blk.a.dtype for blk in seen} == want
 
 
 def test_codebook_centers_match_rect(desk1, upsilon):

@@ -275,6 +275,37 @@ def test_tree_ties_go_to_lowest_index():
     assert np.array_equal(_nearest(points, centers[:500])[0], lowest)
 
 
+@pytest.mark.parametrize("cpus", [None, 3])
+def test_distortion_reads_the_nearest_distances_bit_for_bit(desk1, monkeypatch, cpus):
+    # distortion scores on nearest distances only: the dense kernel skips the
+    # second-nearest scores, the tree seeks one center over every CPU.  The
+    # distances must be those of the full kernel and of a one-worker tree.
+    from scipy.spatial import cKDTree
+
+    if cpus is not None:  # more query threads than this host may have cores
+        monkeypatch.setattr(qz, "_cpus", lambda: cpus)
+    chaos = cq.sample(desk1, 20_000, seed=41)
+    grid = np.round(chaos.points * 16) / 16  # exact distance ties, points on centers
+    pools = (chaos, cq.SamplePool(points=grid, seed=41, n=len(grid), burn_in=64))
+    rng = np.random.default_rng(41)
+    for pool in pools:
+        for k in (1, 34, 512, 513, 2000):
+            centers = pool.points[rng.choice(pool.n, size=k, replace=False)]
+            cb = cq.Codebook(points=centers, k=k, origin="random")
+            d2 = _nearest(pool.points, centers)[1]
+            only = _nearest(pool.points, centers, distances_only=True)
+            assert np.array_equal(only.view(np.int64), d2.view(np.int64)), k
+            if k > qz._TREE_THRESHOLD:
+                first = cKDTree(centers).query(pool.points, k=2, workers=1)[0][:, 0]
+                assert np.array_equal(only.view(np.int64), (first * first).view(np.int64)), k
+            for r in (0.5, 1.0, 2.0, 3.0):
+                want = float(np.mean(d2 ** (r / 2.0)))
+                assert cq.distortion(pool, cb, r) == want, (k, r)
+                value, stderr = cq.distortion_stats(pool, cb, r)
+                assert (value, stderr) == (want, batch_stderr(d2 ** (r / 2.0))), (k, r)
+    assert len(np.unique(centers, axis=0)) < len(centers)  # the grid's centers repeat
+
+
 def tree_separation(centers):
     from scipy.spatial import cKDTree
 
