@@ -274,18 +274,18 @@ def _add_digit_keys(
     """key plus the weights of the ``count`` base-``base`` digits of each value.
 
     The digits go chunk by chunk, lowest chunk first, one lookup per chunk
-    in a table of at most _KEY_TABLE entries: entry v of tables[L - 1] sums
+    in a table of at most _KEY_TABLE entries: entry v of sums[L - 1] sums
     ``weight`` over the L digits of v, zeros included.  So a last, shorter
     chunk is read with the table of its own length; a longer one would count
     its missing digits as zeros.
     """
-    tables = [weight]
-    while len(tables) < count and base ** (len(tables) + 1) <= _KEY_TABLE:
-        tables.append((tables[-1][:, None] + weight).reshape(-1))
+    sums = [weight]
+    while len(sums) < count and base ** (len(sums) + 1) <= _KEY_TABLE:
+        sums.append((sums[-1][:, None] + weight).reshape(-1))
     while count > 0:
-        size = min(len(tables), count)
+        size = min(len(sums), count)
         chunk = (values % base**size).astype(np.int64, copy=False)
-        key = key + tables[size - 1][chunk]
+        key = key + sums[size - 1][chunk]
         values = values // base**size
         count -= size
     return key

@@ -197,7 +197,7 @@ def _dense(
 
 
 def _cpus() -> int:
-    """CPUs this process may run on; every KD-tree query uses them all."""
+    """CPUs this process may run on; distortion's KD-tree query uses them all."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -216,10 +216,12 @@ def _nearest(
     the dense ones to rounding, not bit for bit.
 
     With distances_only the squared nearest distances alone are returned,
-    and the tree looks for one center, not two.  A point's nearest distance
-    comes from the same formula however many neighbours the tree seeks, and
-    each point's query is independent of the others and of the worker
-    threads it is split across, so these are the same floats.
+    and the tree looks for one center, not two, on every CPU.  A point's
+    nearest distance comes from the same formula however many neighbours
+    the tree seeks, and each point's query is independent of the others and
+    of the worker threads it is split across, so these are the same floats.
+    Lloyd's two-nearest query stays on one thread: no measured workload
+    runs it, and it may serve only a few hundred points an iteration.
     """
     if len(centers) <= _TREE_THRESHOLD:
         return _dense(points, centers, distances_only)
@@ -229,7 +231,7 @@ def _nearest(
     if distances_only:
         first = tree.query(points, k=1, workers=_cpus())[0]
         return first * first
-    dist, idx = tree.query(points, k=2, workers=_cpus())
+    dist, idx = tree.query(points, k=2)
     labels = idx[:, 0].astype(np.int64)
     tied = np.flatnonzero(dist[:, 0] == dist[:, 1])
     if len(tied):
@@ -471,7 +473,7 @@ def _separation(centers: np.ndarray) -> np.ndarray:
     if k > _TREE_THRESHOLD:
         from scipy.spatial import cKDTree
 
-        return cKDTree(centers).query(centers, k=2, workers=_cpus())[0][:, 1]
+        return cKDTree(centers).query(centers, k=2)[0][:, 1]
     x, y = centers[:, 0], centers[:, 1]
     d2 = x[:, None] - x
     d2 *= d2
