@@ -29,7 +29,6 @@ from .carpet import (
     DuplicateCell,
     IndexSets,
     ThinDigitSet,
-    cell_probabilities,
     derive_indices,
     load_config,
     make_spec,

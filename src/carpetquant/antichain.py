@@ -127,7 +127,7 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 def _log_weight(spec: CarpetSpec, r: float, words: WordCodes) -> np.ndarray:
     """log of every word's weight mu_w m^(-|w| r), its log mass taken per count class."""
-    tab = codes.tables(spec)
+    tab = derive_indices(spec)
     return words.log_sum(tab.log_p, tab.log_q) - words.orders() * r * math.log(spec.m)
 
 
@@ -155,7 +155,7 @@ def build_upsilon(
         raise ValueError(f"threshold level must be >= 0, got {j}")
     threshold = j * math.log(consts.eta_lo)
     shift = -consts.r * math.log(spec.m)
-    tab = codes.tables(spec)
+    tab = derive_indices(spec)
     step = tab.log_q + shift
     front, lw = codes.root(), np.zeros(1)
     found: list[tuple[Block, np.ndarray]] = []
@@ -191,7 +191,7 @@ def s2_family(
     Returns the members, canonical, and each member's index in ``anchors``;
     both are empty when every anchor falls below its own cut (H2 < 1).
     """
-    t, shift, tab = consts.t_r, -consts.r * math.log(spec.m), codes.tables(spec)
+    t, shift, tab = consts.t_r, -consts.r * math.log(spec.m), derive_indices(spec)
     flat, upgrade = t * (tab.log_q + shift), t * ((tab.up[:, None] + tab.log_q) + shift)
     base = _log_energy(spec, consts, anchors)
     cut = base - math.log(consts.H2)
@@ -234,7 +234,7 @@ def _pair_step(
     child's log W mass is its parent's plus the digit's.  Returns (parent
     index, digit index, a, b, cell count, log W).
     """
-    tab, dt = codes.tables(spec), codes.code_dtype(spec, k + 1)
+    tab, dt = derive_indices(spec), codes.code_dtype(spec, k + 1)
     gains_cell = ell_steps(spec, k)
     if gains_cell:
         digits = np.array([tab.cells.index((i, j)) for i, j, _ in spec.entries])
@@ -347,7 +347,7 @@ def build_l1_l2(
     lam = upsilon.codes.blocks[0]
     j, k1 = upsilon.j, lam.k
     pw = product_weights(spec, consts)
-    g, m = len(codes.tables(spec).cells), spec.m
+    g, m = len(derive_indices(spec).cells), spec.m
 
     taus = codes.all_codes(spec, k1)
     taus = taus.take(codes.lookup(codes.keys(spec, lam), codes.keys(spec, taus)) < 0)

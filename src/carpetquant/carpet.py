@@ -7,7 +7,8 @@ probability on each occupied cell.  The cell maps
     f_ij(x, y) = ((x + i) / n, (y + j) / m)
 
 contract the unit square onto the cells; the probabilities induce the
-invariant measure that every other module works with.
+invariant measure that every other module works with.  ``derive_indices``
+is the one cached table of what the other modules derive from a carpet.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "CarpetError",
@@ -74,29 +77,31 @@ class CarpetSpec:
     entries: tuple[tuple[int, int, float], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSets:
-    """Digit projections and row marginals derived from a carpet.
+    """Everything derived from a carpet, in one cached table (see derive_indices).
 
-    ``g_x``/``g_y`` are the occupied columns/rows, ``g_xj`` maps each row to
-    its occupied columns, ``q`` to its marginal mass.  ``theta`` is the
-    log-ratio log(m)/log(n) in (0, 1) that controls how many column digits an
-    approximate square of a given depth carries.  ``uniform_fibres`` records
-    whether all rows hold the same number of cells.
+    ``cells`` ranks the occupied cells by (i, j); ``cell_i``, ``cell_j`` and
+    ``log_p`` (log p_ij) hold their digits and logs by rank.  ``rows`` holds
+    the occupied row digits ascending, ``q`` pairs each with its marginal
+    mass q_j = sum_i p_ij, ``log_q`` its log, and ``up`` = log p_ij - log q_j
+    per cell rank.  The logs are libm's ``math.log``, so every sum built from
+    them is the float a word-by-word walk over the same logs gives.
+    ``theta`` is the log-ratio log(m)/log(n) in (0, 1) that controls how many
+    column digits an approximate square of a given depth carries.
+    ``uniform_fibres`` records whether all rows hold the same number of cells.
     """
 
-    g_x: tuple[int, ...]
-    g_y: tuple[int, ...]
-    g_xj: tuple[tuple[int, tuple[int, ...]], ...]
+    cells: tuple[tuple[int, int], ...]
+    cell_i: np.ndarray
+    cell_j: np.ndarray
+    log_p: np.ndarray
+    rows: np.ndarray
     q: tuple[tuple[int, float], ...]
+    log_q: np.ndarray
+    up: np.ndarray
     theta: float
     uniform_fibres: bool
-
-    def columns_of(self, j: int) -> tuple[int, ...]:
-        for row, cols in self.g_xj:
-            if row == j:
-                return cols
-        raise KeyError(j)
 
 
 def _coerce_probability(value: object) -> float:
@@ -181,28 +186,22 @@ def load_config(source: str | Mapping[str, object]) -> CarpetSpec:
 
 @lru_cache(maxsize=None)
 def derive_indices(spec: CarpetSpec) -> IndexSets:
-    """Project the digit set and compute row marginals q_j = sum_i p_ij."""
-    g_x = tuple(sorted({i for i, _, _ in spec.entries}))
-    g_y = tuple(sorted({j for _, j, _ in spec.entries}))
-    g_xj = tuple(
-        (j, tuple(sorted(i for i, jj, _ in spec.entries if jj == j))) for j in g_y
-    )
-    q = tuple(
-        (j, math.fsum(p for _, jj, p in spec.entries if jj == j)) for j in g_y
-    )
-    fibre_sizes = {len(cols) for _, cols in g_xj}
+    """Cell ranks, row marginals, their logs, theta and the fibre flag (cached; treat as read-only)."""
+    ranked = sorted(spec.entries)
+    cell_j = np.array([j for _, j, _ in ranked], dtype=np.int64)
+    rows, per_row = np.unique(cell_j, return_counts=True)
+    q = tuple((j, math.fsum(p for _, jj, p in spec.entries if jj == j)) for j in rows.tolist())
+    log_p = np.array([math.log(p) for _, _, p in ranked])
+    log_q = np.array([math.log(qj) for _, qj in q])
     return IndexSets(
-        g_x=g_x,
-        g_y=g_y,
-        g_xj=g_xj,
+        cells=tuple((i, j) for i, j, _ in ranked),
+        cell_i=np.array([i for i, _, _ in ranked], dtype=np.int64),
+        cell_j=cell_j,
+        log_p=log_p,
+        rows=rows,
         q=q,
+        log_q=log_q,
+        up=log_p - log_q[np.searchsorted(rows, cell_j)],
         theta=math.log(spec.m) / math.log(spec.n),
-        uniform_fibres=len(fibre_sizes) == 1,
+        uniform_fibres=len(set(per_row.tolist())) == 1,
     )
-
-
-@lru_cache(maxsize=None)
-def cell_probabilities(spec: CarpetSpec) -> dict[tuple[int, int], float]:
-    """Cell -> probability lookup (cached; treat as read-only)."""
-    return {(i, j): p for i, j, p in spec.entries}
-

@@ -87,7 +87,7 @@ def _cmd_validate(args) -> int:
     idx = derive_indices(spec)
     print(
         f"ok: {spec.m}x{spec.n} grid, {len(spec.entries)} cells, "
-        f"{len(idx.g_y)} occupied rows, uniform_fibres={str(idx.uniform_fibres).lower()}"
+        f"{len(idx.rows)} occupied rows, uniform_fibres={str(idx.uniform_fibres).lower()}"
     )
     return EXIT_OK
 

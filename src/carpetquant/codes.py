@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .carpet import CarpetSpec, cell_probabilities, derive_indices
+from .carpet import CarpetSpec, derive_indices
 
 __all__ = [
     "INT_LIMIT",
@@ -41,7 +41,6 @@ __all__ = [
     "WordCodes",
     "ell",
     "ell_steps",
-    "tables",
     "encode_word",
     "code_dtype",
     "expand",
@@ -79,73 +78,27 @@ def encode_word(w: Word) -> str:
     return f"a:{a}|b:{b}"
 
 
-# ell(k) must be exact: for grids whose side logs are rationally related
-# (m=2, n=8 say) the float floor of k*theta is off by one at exact multiples.
-# We keep, per grid, the largest t with n^t <= m^k using integer powers.
-_ELL_STATE: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
-
-
-def _ell_table(m: int, n: int, k: int) -> list[int]:
-    state = _ELL_STATE.get((m, n))
-    if state is None:
-        state = ([0], [n], [1])  # ell values, n^(ell[-1]+1), m^(len-1)
-        _ELL_STATE[(m, n)] = state
-    ells, npow, mpow = state
-    while len(ells) <= k:
-        mpow[0] *= m
-        t = ells[-1]
-        if npow[0] <= mpow[0]:
-            t += 1
-            npow[0] *= n
-        ells.append(t)
-    return ells
+@lru_cache(maxsize=None)
+def _ell(m: int, n: int, k: int) -> int:
+    # The largest t with n^t <= m^k, in integers: for grids whose side logs
+    # are rationally related (m=2, n=8 say) the float floor of k*theta is
+    # off by one at exact multiples.
+    x, t = m ** int(k), 0
+    while x >= n:
+        x, t = x // n, t + 1
+    return t
 
 
 def ell(spec: CarpetSpec, k: int) -> int:
     """Number of full-cell digits of an order-k word: floor(k * log m / log n)."""
     if k < 0:
         raise BadWord(f"order must be >= 0, got {k}")
-    return _ell_table(spec.m, spec.n, k)[k]
+    return _ell(spec.m, spec.n, k)
 
 
 def ell_steps(spec: CarpetSpec, k: int) -> bool:
     """True when refining an order-k word upgrades its oldest row digit: ell(k+1) > ell(k)."""
     return ell(spec, k + 1) != ell(spec, k)
-
-
-class Tables(NamedTuple):
-    cells: tuple[tuple[int, int], ...]  # occupied cells by rank
-    cell_i: np.ndarray
-    cell_j: np.ndarray
-    rows: np.ndarray  # occupied row digits, ascending
-    log_p: np.ndarray  # log p_ij per cell rank
-    log_q: np.ndarray  # log q_j per occupied row
-    up: np.ndarray  # log p_ij - log q_j per cell rank
-
-
-@lru_cache(maxsize=None)
-def tables(spec: CarpetSpec) -> Tables:
-    """Cell ranks, occupied rows and their log probabilities (cached; treat as read-only).
-
-    The logs are libm's ``math.log``, so every sum built from them is the
-    float a word-by-word walk over the same logs gives.
-    """
-    cells = tuple(sorted((i, j) for i, j, _ in spec.entries))
-    prob = cell_probabilities(spec)
-    idx = derive_indices(spec)
-    rows = np.array(idx.g_y, dtype=np.int64)
-    cell_j = np.array([j for _, j in cells], dtype=np.int64)
-    log_p = np.array([math.log(prob[c]) for c in cells])
-    log_q = np.array([math.log(q) for _, q in idx.q])
-    return Tables(
-        cells=cells,
-        cell_i=np.array([i for i, _ in cells], dtype=np.int64),
-        cell_j=cell_j,
-        rows=rows,
-        log_p=log_p,
-        log_q=log_q,
-        up=log_p - log_q[np.searchsorted(rows, cell_j)],
-    )
 
 
 class Block(NamedTuple):
@@ -182,7 +135,7 @@ def expand(spec: CarpetSpec, blk: Block):
     parent index, upgraded cell rank or None on a flat step, index of the
     appended row digit in the occupied rows).
     """
-    t = tables(spec)
+    t = derive_indices(spec)
     m, nrows = spec.m, len(t.rows)
     blk = _cast(spec, blk, blk.k + 1)
     if not ell_steps(spec, blk.k):
@@ -205,7 +158,7 @@ def flatten(spec: CarpetSpec, blk: Block) -> Block:
     k, m = blk.k, spec.m
     if not ell_steps(spec, k - 1):
         return _cast(spec, Block(k - 1, blk.a, blk.b // m), k - 1)
-    t = tables(spec)
+    t = derive_indices(spec)
     g = len(t.cells)
     last = (blk.a % g).astype(np.int64)
     head = t.cell_j[last].astype(blk.b.dtype) * m ** (k - ell(spec, k) - 1)
@@ -218,7 +171,7 @@ def prefix(spec: CarpetSpec, blk: Block, k: int) -> Block | None:
     drop_b = (blk.k - lt) - (k - lk)
     if drop_b < 0:
         return None
-    g = len(tables(spec).cells)
+    g = len(derive_indices(spec).cells)
     return _cast(spec, Block(k, blk.a // g ** (lt - lk), blk.b // spec.m**drop_b), k)
 
 
@@ -252,7 +205,7 @@ def _digits(values: np.ndarray, base: int, count: int) -> np.ndarray:
 
 def decode(spec: CarpetSpec, blk: Block, cells: int | None = None) -> list[Word]:
     """The words of a block; ``cells`` overrides the ell(k) cells an order-k word carries."""
-    t = tables(spec)
+    t = derive_indices(spec)
     lk = ell(spec, blk.k) if cells is None else cells
     a_rows = _digits(blk.a, len(t.cells), lk).tolist()
     b_rows = _digits(blk.b, spec.m, blk.k - lk).tolist()
@@ -300,7 +253,7 @@ def _count_classes(spec: CarpetSpec, blk: Block) -> tuple[np.ndarray, list[list[
     The keys are exact integer sums, so their order of summation (chunk by
     chunk, see _add_digit_keys) does not change them.
     """
-    t = tables(spec)
+    t = derive_indices(spec)
     g, lk, base = len(t.cells), ell(spec, blk.k), blk.k + 1
     width = g + len(t.rows)
     dtype = np.int64 if base**width < INT_LIMIT else object
@@ -327,7 +280,7 @@ def centers(spec: CarpetSpec, blk: Block) -> list[tuple[float, float]]:
     base m.  (2p + 1) / (2 n^ell) is Python int true division, which is
     correctly rounded, so it equals float(Fraction(2p + 1, 2 n^ell)).
     """
-    t = tables(spec)
+    t = derive_indices(spec)
     lk = ell(spec, blk.k)
     n, m = spec.n, spec.m
     dtype = np.int64 if max(n**lk, m**blk.k) < INT_LIMIT else object
@@ -389,7 +342,7 @@ class WordCodes:
         """fsum of the cells' terms plus fsum of the row digits' terms, for every word.
 
         ``cell_logs`` holds one term per cell rank, ``row_logs`` one per
-        occupied row (in ``tables(spec).rows`` order).  math.fsum is correctly
+        occupied row (in ``derive_indices(spec).rows`` order).  math.fsum is correctly
         rounded, so the value depends only on how often each digit occurs and
         is taken once per count vector.  Returns floats in sequence order.
         """

@@ -58,9 +58,10 @@ class SpectralConstants:
 
 def _spectral_sums(spec: CarpetSpec, r: float, t: float) -> tuple[float, float]:
     """Cell and row spectral sums at exponent t: sum_G (p_ij m^-r)^t, sum_{G_y} (q_j m^-r)^t."""
+    idx = derive_indices(spec)
     log_mr = -r * math.log(spec.m)
-    cell_sum = math.fsum(math.exp(t * (math.log(p) + log_mr)) for _, _, p in spec.entries)
-    row_sum = math.fsum(math.exp(t * (math.log(qj) + log_mr)) for _, qj in derive_indices(spec).q)
+    cell_sum = math.fsum(math.exp(t * (lp + log_mr)) for lp in idx.log_p.tolist())
+    row_sum = math.fsum(math.exp(t * (lq + log_mr)) for lq in idx.log_q.tolist())
     return cell_sum, row_sum
 
 
@@ -129,9 +130,8 @@ def constants(spec: CarpetSpec, r: float) -> SpectralConstants:
     log_mr = -r * math.log(spec.m)
     P, Q = _spectral_sums(spec, r, t)
 
-    q_of = dict(idx.q)
     eta_lo = normal_eta_lo(spec, r)
-    q_bar = max(q_of.values())
+    q_bar = max(qj for _, qj in idx.q)
     eta_hi = math.exp(t * (math.log(q_bar) + log_mr))
 
     log_eta_lo = math.log(eta_lo)
@@ -141,8 +141,7 @@ def constants(spec: CarpetSpec, r: float) -> SpectralConstants:
         H1 += 1
 
     xi = max(
-        math.fsum((p / q_of[j]) ** t for i, jj, p in spec.entries if jj == j)
-        for j in idx.g_y
+        math.fsum((p / qj) ** t for _, jj, p in spec.entries if jj == j) for j, qj in idx.q
     )
     H2 = P**3 * Q**-2 * math.exp(-t * log_eta_lo)
     M = 1

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import codes
-from .carpet import CarpetSpec
+from .carpet import CarpetSpec, derive_indices
 from .codes import WordCodes
 from .constants import SpectralConstants
 
@@ -34,7 +34,7 @@ class ProductWeights:
     """Logs of the tilted cell and row probability vectors.
 
     ``log_p_tilde`` holds one value per cell rank and ``log_q_tilde`` one per
-    occupied row, as ``codes.tables`` orders them.
+    occupied row, as ``derive_indices`` orders them.
     """
 
     log_p_tilde: np.ndarray = field(repr=False)
@@ -45,7 +45,7 @@ def product_weights(spec: CarpetSpec, consts: SpectralConstants) -> ProductWeigh
     """Normalised tilted vectors: p~_ij = P^-1 (p_ij m^-r)^t, q~_j = Q^-1 (q_j m^-r)^t."""
     t = consts.t_r
     log_mr = -consts.r * math.log(spec.m)
-    tab = codes.tables(spec)
+    tab = derive_indices(spec)
     return ProductWeights(
         log_p_tilde=t * (tab.log_p + log_mr) - math.log(consts.P),
         log_q_tilde=t * (tab.log_q + log_mr) - math.log(consts.Q),

@@ -16,10 +16,15 @@ import numpy as np
 
 import carpetquant as cq
 from carpetquant import Word, codes
-from carpetquant.carpet import cell_probabilities, derive_indices
 from carpetquant.codes import BadWord, Block, WordCodes, ell, ell_steps
 
 ROOT = Word((), ())
+
+
+def occupied(spec):
+    """Occupied cells ranked by (i, j) and occupied rows ascending, read from ``spec.entries``."""
+    cells = sorted((i, j) for i, j, _ in spec.entries)
+    return cells, sorted({j for _, j in cells})
 
 
 def order(w):
@@ -32,14 +37,12 @@ def validate_word(spec, w):
     want = ell(spec, k)
     if len(w.a) != want:
         raise BadWord(f"order-{k} word must carry {want} full cells, got {len(w.a)}")
-    cells = cell_probabilities(spec)
-    idx = derive_indices(spec)
-    g_y = set(idx.g_y)
+    cells, rows = occupied(spec)
     for cell in w.a:
         if cell not in cells:
             raise BadWord(f"cell {cell} is not occupied")
     for j in w.b:
-        if j not in g_y:
+        if j not in rows:
             raise BadWord(f"row digit {j} is not occupied")
     return w
 
@@ -58,12 +61,11 @@ def step_table(spec):
     run in the digit order of ``children`` (cached; treat as read-only).
     """
     log_p, log_q = log_tables(spec)
-    idx = derive_indices(spec)
+    cells, rows = occupied(spec)
     return StepTable(
-        rows=tuple((j, log_q[j]) for j in idx.g_y),
+        rows=tuple((j, log_q[j]) for j in rows),
         upgrades={
-            j: tuple((i, log_p[(i, j)] - log_q[j]) for i in idx.columns_of(j))
-            for j in idx.g_y
+            j: tuple((i, log_p[(i, j)] - log_q[j]) for i, jj in cells if jj == j) for j in rows
         },
     )
 
@@ -99,8 +101,11 @@ def flatten(spec, w):
 @lru_cache(maxsize=None)
 def log_tables(spec):
     """Per-cell and per-row log probabilities (cached; treat as read-only)."""
-    cells = {cell: math.log(p) for cell, p in cell_probabilities(spec).items()}
-    rows = {j: math.log(qj) for j, qj in derive_indices(spec).q}
+    cells = {(i, j): math.log(p) for i, j, p in spec.entries}
+    rows = {
+        j: math.log(math.fsum(p for _, jj, p in spec.entries if jj == j))
+        for j in occupied(spec)[1]
+    }
     return cells, rows
 
 
@@ -412,7 +417,7 @@ def reference_l1_l2(spec, consts, ups, cap=cq.antichain.DEFAULT_CAP):
 
 def encode(spec, words):
     """The (a, b) codes of words or cylinder pairs, as object arrays."""
-    rank = {c: r for r, c in enumerate(codes.tables(spec).cells)}
+    rank = {c: r for r, c in enumerate(occupied(spec)[0])}
     a, b = [], []
     for cells, rows in words:
         ca = cb = 0
@@ -502,13 +507,13 @@ def reference_values(spec, consts, words):
 
 def reference_count_classes(spec, blk):
     """Count classes keyed digit by digit: one pass over the block per digit of every word."""
-    t = codes.tables(spec)
-    g, lk, base = len(t.cells), ell(spec, blk.k), blk.k + 1
-    width = g + len(t.rows)
+    cells, rows = occupied(spec)
+    g, lk, base = len(cells), ell(spec, blk.k), blk.k + 1
+    width = g + len(rows)
     dtype = np.int64 if base**width < codes.INT_LIMIT else object
     weight = np.array([base**c for c in range(width)], dtype=dtype)
     row_rank = np.zeros(spec.m, dtype=np.int64)
-    row_rank[t.rows] = np.arange(len(t.rows))
+    row_rank[rows] = np.arange(len(rows))
     key = np.zeros(len(blk.a), dtype=dtype)
     for col in codes._digits(blk.a, g, lk).T:
         key = key + weight[col]

@@ -158,7 +158,7 @@ def test_criterion_4_sandwiches(desk1, consts2, pw2, upsilon):
         # parent step bound, every aligned pair of total length <= 8 at j=3
         k1 = upsilon(3).codes.blocks[0].k
         cells = tuple((i, j) for i, j, _ in desk1.entries)
-        rows = cq.derive_indices(desk1).g_y
+        rows = tuple(j for j, _ in cq.derive_indices(desk1).q)
         drop = math.log(consts2.eta_lo) * consts2.t_r - math.log(consts2.P)
         levels = pair_levels(desk1, pw2, k1, 8)
         for d in range(1, 9):
@@ -181,7 +181,7 @@ def test_criterion_5_comparable_descendants(desk1, consts2):
     with Budget(5, "comparable descendant families", 30.0):
         rng = random.Random(47021)
         cells = tuple((i, j) for i, j, _ in desk1.entries)
-        rows = cq.derive_indices(desk1).g_y
+        rows = tuple(j for j, _ in cq.derive_indices(desk1).q)
         sigmas = []
         for _ in range(50):
             k = rng.randrange(1, 9)

@@ -253,7 +253,7 @@ def test_certificate_accessor(desk1, consts2, upsilon):
 
 def test_certify_names_a_misshapen_glued_word(desk1, consts2, monkeypatch):
     walk = cq.antichain._gamma_pairs
-    g, cell = len(codes.tables(desk1).cells), codes.tables(desk1).cells.index((0, 0))
+    g, cell = len(cq.derive_indices(desk1).cells), cq.derive_indices(desk1).cells.index((0, 0))
 
     def misshape(spec, pw, k1, log_eps, cap):
         # in each family, the first pair with row digits trades its last one

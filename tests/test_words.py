@@ -16,11 +16,16 @@ def test_ell_desk1(desk1):
 
 
 def test_ell_is_exact_for_power_ratios():
-    # theta = 1/3 exactly; float floor of k*theta would go wrong at k = 3, 6, ...
-    spec = cq.make_spec(2, 8, [(0, 0, 0.5), (7, 1, 0.5)])
-    for k in range(1, 61):
-        want = max(t for t in range(k + 1) if 8**t <= 2**k)
-        assert cq.ell(spec, k) == want
+    # at m=2, n=8 theta = 1/3 exactly, and the float floor of k*theta goes wrong
+    # at k = 3, 6, ...; check every small grid against max t: n**t <= m**k
+    for m in range(2, 12):
+        for n in range(m + 1, 13):
+            spec = cq.make_spec(m, n, [(0, 0, 0.5), (n - 1, 1, 0.5)])
+            want = 0
+            for k in range(201):
+                while n ** (want + 1) <= m**k:
+                    want += 1
+                assert cq.ell(spec, k) == want, (m, n, k)
 
 
 def test_ell_matches_float_floor_when_safe(desk1):
@@ -30,7 +35,7 @@ def test_ell_matches_float_floor_when_safe(desk1):
 
 
 def log_mass(spec, words):
-    tab = codes.tables(spec)
+    tab = cq.derive_indices(spec)
     return words.log_sum(tab.log_p, tab.log_q)
 
 
