@@ -77,30 +77,27 @@ def lhs(spec: CarpetSpec, r: float, s: float) -> float:
 
 
 def solve_sr(spec: CarpetSpec, r: float) -> float:
-    """Solve lhs(s) = 1 by bracketing and bisection.
+    """Solve lhs(s) = 1 by bracketing and bisection down to adjacent floats.
 
     The bracket [0, S] is grown by doubling until lhs(S) < 1; bisection then
-    runs until the residual |lhs(s)-1| falls within 1e-12 (at most 200
-    halvings).  Bisection is deliberate: every iterate is certified by a
+    halves it, keeping lhs(lo) > 1 >= lhs(hi), until no float lies strictly
+    between lo and hi, and returns whichever endpoint has the smaller
+    |lhs - 1|.  Bisection is deliberate: every iterate is certified by a
     sign, so no smoothness assumptions enter the solver.
     """
-    if lhs(spec, r, 0.0) <= 1.0:
+    lo_value = lhs(spec, r, 0.0)
+    if lo_value <= 1.0:
         raise NoBracket("lhs(0) <= 1: carpet admits no positive dimension root")
     lo, hi = 0.0, 2.0
-    while lhs(spec, r, hi) >= 1.0:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while (hi_value := lhs(spec, r, hi)) >= 1.0:
+        lo, lo_value, hi = hi, hi_value, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         value = lhs(spec, r, mid)
-        if abs(value - 1.0) <= 1e-12:
-            return mid
         if value > 1.0:
-            lo = mid
+            lo, lo_value = mid, value
         else:
-            hi = mid
-    raise ArithmeticError(
-        f"bisection did not reach residual 1e-12 in 200 iterations (bracket [{lo}, {hi}])"
-    )
+            hi, hi_value = mid, value
+    return lo if abs(lo_value - 1.0) <= abs(hi_value - 1.0) else hi
 
 
 def normal_eta_lo(spec: CarpetSpec, r: float) -> float:

@@ -261,19 +261,21 @@ def test_bad_argument_exits_2(desk1_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
-# SHA-256 of `certify --j 0:6` stdout, recorded from the word-by-word
-# implementation before certify ran on integer word codes, and of
-# `antichain --j 0:6` stdout, recorded while JCertificate still kept its own
-# copies of the certified numbers.  The printed floats carry the last-bit
+# SHA-256 of `certify --j 0:6` and `antichain --j 0:6` stdout, re-recorded
+# when solve_sr began to bisect down to adjacent floats, which moved s_r and
+# every constant in its last digits.  The certify digests were first taken
+# from the word-by-word implementation, the antichain ones while
+# JCertificate still kept its own copies of the certified numbers; both held
+# unchanged through every refactor since.  The printed floats carry the last-bit
 # rounding of this platform's libm (math.exp, math.log), so the digests hold
 # only on a libm that rounds as the recording one did.
 CERTIFY_DIGESTS = {
-    ("certify", "desk1", "1"): "84297bd2ebef874fc2f15a70da16c2c62b7b0032c66b755c47155f1f3eedd52a",
-    ("certify", "desk1", "2"): "2acd4d2bd752951d0fbe286a8ad1a9ecb5a71e9176f50bb572a8ac44cad05c9c",
-    ("certify", "tie", "1"): "6c5914f46275d9258a32835628703706d61d290d37ca62bdba0b1cb95c6e945a",
-    ("antichain", "desk1", "1"): "2504c912cc3c0e259d85967f0a260df97a6ef082fdb3ee32c057dd9854ca2f70",
-    ("antichain", "desk1", "2"): "657510b89e3bfd57240e14c0093c19c0cd1ebfcbf0a33b263fb71ed61fce9266",
-    ("antichain", "tie", "1"): "b2e023aa2d7378f2f076b2d5a9f20c9a220f79b6ca9456b0346efdd13b794187",
+    ("certify", "desk1", "1"): "41611ef64de05da4a049d35343ef27735e960d34b060351384b166fb2ec08f0d",
+    ("certify", "desk1", "2"): "43f0b6a9c93c0b3ecb339ba6f64379a8cce8546a8db662e13c32204ec20e27db",
+    ("certify", "tie", "1"): "afa813c568f174887956e52570ced98dd5203ef483051c43a0d8c2411d4479cd",
+    ("antichain", "desk1", "1"): "a266a76c770959d5a7d571ec3c31dfe2b9dfd09c7ea4917bbd7314c22dff4ccc",
+    ("antichain", "desk1", "2"): "175614f235e29dff1ac8c4d4148f7973a7b3d1e5b985a1e1d55e52497a491e65",
+    ("antichain", "tie", "1"): "08bed7f95339255fe859132c1f7fd9ae5f854067cf2a5662dc1db42f776614e3",
 }
 TIE = {"m": 2, "n": 4, "entries": [[0, 0, "1/2"], [1, 1, "1/4"], [3, 1, "1/4"]]}
 
