@@ -108,13 +108,13 @@ def _coerce_probability(value: object) -> float:
     # Accept floats, ints, decimal strings and ratio strings ("2/5").
     if isinstance(value, bool):
         raise BadProbabilities(f"probability must be a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
+    try:
+        if isinstance(value, (int, float)):
+            return float(value)
+        if isinstance(value, str):
             return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadProbabilities(f"cannot parse probability {value!r}") from exc
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise BadProbabilities(f"cannot parse probability {value!r}") from exc
     raise BadProbabilities(f"probability must be a number or string, got {type(value).__name__}")
 
 
@@ -124,7 +124,7 @@ def make_spec(m: int, n: int, entries: Sequence[Sequence[object]]) -> CarpetSpec
         raise DegenerateGrid(f"grid sides must be integers, got m={m!r}, n={n!r}")
     rows = []
     for entry in entries:
-        if len(entry) != 3:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise CarpetError(f"entry must be (i, j, p), got {entry!r}")
         i, j, p = entry
         if not isinstance(i, int) or not isinstance(j, int) or isinstance(i, bool) or isinstance(j, bool):
@@ -166,11 +166,15 @@ def load_config(source: str | Mapping[str, object]) -> CarpetSpec:
     """Load a carpet from a JSON file path or an already-parsed mapping.
 
     Expected shape: {"m": int, "n": int, "entries": [[i, j, p], ...]} with p
-    a number, a decimal string or a ratio string.
+    a number, a decimal string or a ratio string.  A file that is not UTF-8
+    JSON raises CarpetError.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise CarpetError(f"{source} is not a UTF-8 JSON file: {exc}") from exc
     else:
         raw = dict(source)
     if not isinstance(raw, dict):
@@ -181,7 +185,7 @@ def load_config(source: str | Mapping[str, object]) -> CarpetSpec:
     m, n, entries = raw["m"], raw["n"], raw["entries"]
     if not isinstance(entries, (list, tuple)):
         raise CarpetError("config field 'entries' must be a list of [i, j, p] triples")
-    return make_spec(m, n, [tuple(e) for e in entries])
+    return make_spec(m, n, entries)
 
 
 @lru_cache(maxsize=None)

@@ -158,7 +158,7 @@ def validate_run_config(cfg: RunConfig) -> CarpetSpec:
     try:
         spec = load_config(cfg.carpet)
         validate_spec(spec)
-    except (CarpetError, OSError, ValueError) as exc:
+    except (CarpetError, OSError) as exc:
         raise ConfigError(f"bad carpet config: {exc}") from exc
     if cfg.j_range[1] < cfg.j_range[0]:
         raise ConfigError(f"scale range must satisfy lo <= hi, got {cfg.j_range!r}")

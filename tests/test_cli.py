@@ -221,6 +221,28 @@ def test_run_bad_config_exits_2(bad_config, tmp_path, capsys):
     assert not out.exists()  # rejected before any stage ran
 
 
+MALFORMED_CONFIGS = {
+    "truncated-json": b'{"m": 2, "n": 3, "entries": [[0, 0, 0.4], [1, 1',
+    "not-utf8": b'{"m": 2, "n": 3, "entries": [[0, 0, "\xff"]]}',
+    "number-entry": b'{"m": 2, "n": 3, "entries": [[0, 0, 0.4], 7, [2, 1, 0.6]]}',
+    "short-entry": b'{"m": 2, "n": 3, "entries": [[0, 0, 0.4], [1, 1]]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+@pytest.mark.parametrize("command", ["validate", "dimension", "certify", "quantize", "proxy", "run"])
+def test_malformed_config_exits_2_with_one_error_line(tmp_path, capsys, command, case):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(MALFORMED_CONFIGS[case])
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")] + SMALL_RUN
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_tiny_cap_exits_3_with_partial_output(desk1_path, tmp_path, capsys):
     out = tmp_path / "out"
     args = ["run", "--config", desk1_path, "--out", str(out), "--cap", "4"] + SMALL_RUN
