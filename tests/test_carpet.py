@@ -4,7 +4,6 @@ import pytest
 
 import carpetquant as cq
 
-DESK1 = {"m": 2, "n": 3, "entries": [[0, 0, 0.4], [1, 1, 0.3], [2, 1, 0.3]]}
 TIE = {"m": 2, "n": 4, "entries": [[0, 0, "1/2"], [1, 1, "1/4"], [3, 1, "1/4"]]}
 # theta = 1/3 exactly, with uniform fibres
 EIGHT = {"m": 2, "n": 8, "entries": [[0, 0, 0.2], [5, 0, 0.3], [2, 1, 0.1], [7, 1, 0.4]]}
@@ -20,38 +19,31 @@ def test_entries_sorted_canonically():
     assert spec.entries == ((0, 0, 0.4), (1, 1, 0.3), (2, 1, 0.3))
 
 
-@pytest.mark.parametrize(
-    "config, uniform", [(DESK1, False), (TIE, False), (EIGHT, True)], ids=["desk1", "tie", "m2n8"]
-)
-def test_indices(config, uniform):
-    spec = cq.load_config(config)
-    idx = cq.derive_indices(spec)
-    assert cq.derive_indices(spec) is idx
-    prob = {(i, j): p for i, j, p in spec.entries}
-    cells = sorted(prob)
-    rows = sorted({j for _, j in cells})
-    q = {j: math.fsum(prob[c] for c in cells if c[1] == j) for j in rows}
-    assert idx.cells == tuple(cells)
-    assert idx.cell_i.tolist() == [i for i, _ in cells]
-    assert idx.cell_j.tolist() == [j for _, j in cells]
-    assert idx.log_p.tolist() == [math.log(prob[c]) for c in cells]
-    assert idx.rows.tolist() == rows
-    assert idx.q == tuple(q.items())
-    assert idx.log_q.tolist() == [math.log(q[j]) for j in rows]
-    assert idx.up.tolist() == [math.log(prob[c]) - math.log(q[c[1]]) for c in cells]
-    assert idx.theta == math.log(spec.m) / math.log(spec.n)
-    assert idx.uniform_fibres is uniform
-    assert uniform == (len({sum(c[1] == j for c in cells) for j in rows}) == 1)
-
-
-def test_indices_desk1_values(desk1):
+def test_indices(desk1):
+    tie, eight = cq.load_config(TIE), cq.load_config(EIGHT)
+    for spec, uniform in ((desk1, False), (tie, False), (eight, True)):
+        idx = cq.derive_indices(spec)
+        assert cq.derive_indices(spec) is idx
+        prob = {(i, j): p for i, j, p in spec.entries}
+        cells = sorted(prob)
+        rows = sorted({j for _, j in cells})
+        q = {j: math.fsum(prob[c] for c in cells if c[1] == j) for j in rows}
+        assert idx.cells == tuple(cells)
+        assert idx.cell_i.tolist() == [i for i, _ in cells]
+        assert idx.cell_j.tolist() == [j for _, j in cells]
+        assert idx.log_p.tolist() == [math.log(prob[c]) for c in cells]
+        assert idx.rows.tolist() == rows
+        assert idx.q == tuple(q.items())
+        assert idx.log_q.tolist() == [math.log(q[j]) for j in rows]
+        assert idx.up.tolist() == [math.log(prob[c]) - math.log(q[c[1]]) for c in cells]
+        assert idx.theta == math.log(spec.m) / math.log(spec.n)
+        assert idx.uniform_fibres is uniform
+        assert uniform == (len({sum(c[1] == j for c in cells) for j in rows}) == 1)
     idx = cq.derive_indices(desk1)
     assert idx.cells == ((0, 0), (1, 1), (2, 1))
-    assert idx.rows.tolist() == [0, 1]
     assert dict(idx.q)[0] == pytest.approx(0.4, abs=1e-15)
     assert dict(idx.q)[1] == pytest.approx(0.6, abs=1e-15)
     assert idx.theta == pytest.approx(0.6309297535714574, abs=1e-15)
-    assert not idx.uniform_fibres
 
 
 def test_uniform_fibres_flag():
