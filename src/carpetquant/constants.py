@@ -79,7 +79,7 @@ def lhs(spec: CarpetSpec, r: float, s: float) -> float:
 def solve_sr(spec: CarpetSpec, r: float) -> float:
     """Solve lhs(s) = 1 by bracketing and bisection down to adjacent floats.
 
-    The bracket [0, S] is grown by doubling until lhs(S) < 1; bisection then
+    The bracket [0, S] is grown by doubling until lhs(S) <= 1; bisection then
     halves it, keeping lhs(lo) > 1 >= lhs(hi), until no float lies strictly
     between lo and hi, and returns whichever endpoint has the smaller
     |lhs - 1|.  Bisection is deliberate: every iterate is certified by a
@@ -89,7 +89,7 @@ def solve_sr(spec: CarpetSpec, r: float) -> float:
     if lo_value <= 1.0:
         raise NoBracket("lhs(0) <= 1: carpet admits no positive dimension root")
     lo, hi = 0.0, 2.0
-    while (hi_value := lhs(spec, r, hi)) >= 1.0:
+    while (hi_value := lhs(spec, r, hi)) > 1.0:
         lo, lo_value, hi = hi, hi_value, 2.0 * hi
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         value = lhs(spec, r, mid)
