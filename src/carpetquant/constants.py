@@ -106,8 +106,8 @@ def normal_eta_lo(spec: CarpetSpec, r: float) -> float:
     Raises ConfigError naming r when r is so large that eta_lo falls below
     the normal float range.
     """
-    q_of = dict(derive_indices(spec).q)
-    eta_lo = min(p * q_of[k] * spec.m ** -r for _, _, p in spec.entries for k in q_of)
+    q = derive_indices(spec).q
+    eta_lo = min(p * qk * spec.m ** -r for _, _, p in spec.entries for _, qk in q)
     if not eta_lo >= sys.float_info.min:
         raise ConfigError(
             f"r = {r} is too large for this carpet: eta_lo = min p_ij q_k m^-r = {eta_lo!r} "
