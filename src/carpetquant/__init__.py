@@ -44,7 +44,6 @@ from .quantize import (
     SamplePool,
     antichain_codebook,
     distortion,
-    distortion_stats,
     lloyd,
     lloyd_best,
     sample,

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 from .carpet import CarpetSpec, ConfigError, derive_indices
 
-__all__ = ["NoBracket", "SpectralConstants", "lhs", "solve_sr", "normal_eta_lo", "constants"]
+__all__ = ["NoBracket", "SpectralConstants", "lhs", "solve_sr", "checked_eta_lo", "constants"]
+
+# lhs depends on s only through t = s/(s+r), and floats just below t = 1 are
+# 2^-53 apart, so s_r is resolved only to about (s_r/r) 2^-53 relative.  s_r
+# <= 2 on every carpet, so from R_MIN on it is resolved to 1e-9 or better.
+R_MIN = 2.0 * 2.0**-53 / 1e-9
 
 
 class NoBracket(ArithmeticError):
@@ -100,12 +105,17 @@ def solve_sr(spec: CarpetSpec, r: float) -> float:
     return lo if abs(lo_value - 1.0) <= abs(hi_value - 1.0) else hi
 
 
-def normal_eta_lo(spec: CarpetSpec, r: float) -> float:
+def checked_eta_lo(spec: CarpetSpec, r: float) -> float:
     """eta_lo = min p_ij q_k m^-r, in linear scale as it is printed.
 
-    Raises ConfigError naming r when r is so large that eta_lo falls below
-    the normal float range.
+    Raises ConfigError naming r when r is below R_MIN, where floats do not
+    resolve s_r, or so large that eta_lo falls below the normal float range.
     """
+    if not r >= R_MIN:
+        raise ConfigError(
+            f"r = {r} is too small: below r = {R_MIN:.3g} floats resolve s_r only "
+            "to about (2/r) 2^-53 relative, more than 1e-9"
+        )
     q = derive_indices(spec).q
     eta_lo = min(p * qk * spec.m ** -r for _, _, p in spec.entries for _, qk in q)
     if not eta_lo >= sys.float_info.min:
@@ -119,15 +129,15 @@ def normal_eta_lo(spec: CarpetSpec, r: float) -> float:
 def constants(spec: CarpetSpec, r: float) -> SpectralConstants:
     """Solve for s_r and evaluate every derived constant at the root.
 
-    Raises ConfigError when eta_lo is not a normal float (normal_eta_lo).
+    Raises ConfigError when r is out of range (checked_eta_lo).
     """
+    eta_lo = checked_eta_lo(spec, r)
     idx = derive_indices(spec)
     s = solve_sr(spec, r)
     t = s / (s + r)
     log_mr = -r * math.log(spec.m)
     P, Q = _spectral_sums(spec, r, t)
 
-    eta_lo = normal_eta_lo(spec, r)
     q_bar = max(qj for _, qj in idx.q)
     eta_hi = math.exp(t * (math.log(q_bar) + log_mr))
 

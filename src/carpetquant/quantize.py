@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "LloydResult",
     "sample",
     "distortion",
-    "distortion_stats",
     "lloyd",
     "lloyd_best",
     "antichain_codebook",
@@ -250,28 +249,6 @@ def distortion(pool: SamplePool, cb: Codebook, r: float) -> float:
     _check_r(r)
     dmin2 = _nearest(pool.points, cb.points, distances_only=True)
     return float(np.mean(dmin2 ** (r / 2.0)))
-
-
-def distortion_stats(
-    pool: SamplePool, cb: Codebook, r: float, batches: int = 100
-) -> tuple[float, float]:
-    """Distortion plus a batch-means Monte-Carlo standard error.
-
-    Consecutive chaos-game points are correlated (they share digits), so the
-    i.i.d. stderr would understate; batch means over contiguous blocks are
-    the standard correction.
-    """
-    _check_r(r)
-    if batches < 1:
-        raise ValueError(f"batches must be >= 1, got {batches}")
-    dmin2 = _nearest(pool.points, cb.points, distances_only=True)
-    dr = dmin2 ** (r / 2.0)
-    value = float(np.mean(dr))
-    b = min(batches, len(dr))
-    size = len(dr) // b
-    means = dr[: b * size].reshape(b, size).mean(axis=1)
-    stderr = float(np.std(means, ddof=1) / math.sqrt(b)) if b > 1 else float("inf")
-    return value, stderr
 
 
 def _cell_centers(
@@ -623,14 +600,7 @@ def lloyd_best(
         init = int(np.random.default_rng((seed, k, attempt)).integers(2**31))
         results.append(lloyd(pool, k, r, init=init, max_iters=max_iters))
     best = min(results, key=lambda res: res.distortion)
-    return LloydResult(
-        codebook=best.codebook,
-        distortion=best.distortion,
-        iters=best.iters,
-        repairs=best.repairs,
-        restarts_used=restarts,
-        capped=sum(res.capped for res in results),
-    )
+    return replace(best, restarts_used=restarts, capped=sum(res.capped for res in results))
 
 
 def antichain_codebook(spec: CarpetSpec, antichain: Antichain) -> Codebook:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence, TextIO, TypeVar
 
 from .antichain import DEFAULT_CAP, CertificateReport, certify
 from .carpet import CarpetError, CarpetSpec, ConfigError, load_config, validate_spec
-from .constants import SpectralConstants, constants, normal_eta_lo
+from .constants import SpectralConstants, checked_eta_lo, constants
 from .quantize import LloydResult, lloyd_best, sample
 
 __all__ = [
@@ -164,7 +164,7 @@ def validate_run_config(cfg: RunConfig) -> CarpetSpec:
         raise ConfigError(f"scale range must satisfy lo <= hi, got {cfg.j_range!r}")
     check_fields(cfg.r_values, cfg.j_range, cfg.k_grid, cfg.samples, cfg.seed, cfg.cap, cfg.restarts)
     for r in cfg.r_values:
-        normal_eta_lo(spec, r)
+        checked_eta_lo(spec, r)
     return spec
 
 

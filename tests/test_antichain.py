@@ -9,7 +9,7 @@ import pytest
 
 import carpetquant as cq
 from carpetquant import Word, codes
-from carpetquant.antichain import _evenly_spaced, _log_epsilon
+from carpetquant.antichain import _exp, _log_energy, _log_epsilon, _row_code_classes
 from reference_walks import (
     CylinderPair,
     energy,
@@ -122,10 +122,110 @@ def test_s2_family_matches_reference_walk(desk1, config, r, j):
     spec = desk1 if config == "desk1" else cq.load_config(TIE)
     consts = cq.constants(spec, r)
     ups = cq.build_upsilon(spec, consts, j)
-    sampled = _evenly_spaced(ups.words, 20)
+    anchors = _row_code_classes(ups.codes)[0].words
     # energy falls along refinement, so pruning below the cut loses no member
-    want = [reference_s2_family(spec, consts, sigma) for sigma in sampled]
-    assert s2_families(spec, consts, sampled) == want
+    want = [reference_s2_family(spec, consts, sigma) for sigma in anchors]
+    assert s2_families(spec, consts, anchors) == want
+
+
+CLASS_CARPETS = {
+    "desk1": {"m": 2, "n": 3, "entries": [[0, 0, 0.4], [1, 1, 0.3], [2, 1, 0.3]]},
+    "tie": TIE,
+    "m2n8": {"m": 2, "n": 8, "entries": [[0, 0, 0.3], [5, 0, 0.2], [7, 1, 0.5]]},
+    "m3n5": {
+        "m": 3,
+        "n": 5,
+        "entries": [[0, 0, "1/5"], [4, 0, "1/10"], [1, 1, "1/5"], [2, 2, "3/10"], [3, 2, "1/5"]],
+    },
+}
+
+
+def s2_profile(spec, consts, anchors):
+    """Each anchor's own s2 walk: energy ratio (summed as certify sums it), size and depth."""
+    fam, owner = cq.s2_family(spec, consts, anchors)
+    order = np.argsort(owner, kind="stable")
+    size = np.bincount(owner, minlength=len(anchors))
+    parts = np.split(_exp(_log_energy(spec, consts, fam))[order], np.cumsum(size)[:-1])
+    ratio = np.array([math.fsum(e.tolist()) for e in parts])
+    ratio /= _exp(_log_energy(spec, consts, anchors))
+    depth = np.zeros(len(anchors), dtype=np.int64)
+    np.maximum.at(depth, owner, fam.orders() - anchors.orders()[owner])
+    return ratio, size, depth
+
+
+@pytest.mark.parametrize(
+    "config, r, j_max",
+    [("desk1", 1.0, 5), ("desk1", 2.0, 5), ("tie", 1.0, 5), ("tie", 2.0, 5)]
+    + [("m2n8", 1.0, 4), ("m2n8", 2.5, 4), ("m3n5", 1.0, 3), ("m3n5", 2.0, 3)],
+)
+def test_row_code_classes_share_one_s2_family(config, r, j_max):
+    spec = cq.load_config(CLASS_CARPETS[config])
+    consts = cq.constants(spec, r)
+    for j in range(j_max + 1):
+        ups = cq.build_upsilon(spec, consts, j)
+        reps, at = _row_code_classes(ups.codes)
+        # one class per (order, row code), named by its first member in word order
+        first = {}
+        for i, w in enumerate(ups.words):
+            first.setdefault((order(w), w.b), i)
+        assert sorted(at.tolist()) == sorted(first.values())
+        assert reps.words == tuple(ups.words[i] for i in at.tolist())
+        cls = {(order(w), w.b): c for c, w in enumerate(reps.words)}
+        which = np.array([cls[order(w), w.b] for w in ups.words])
+        # every member's own walk matches its class's walk
+        ratio, size, depth = s2_profile(spec, consts, ups.codes)
+        want_ratio, want_size, want_depth = s2_profile(spec, consts, reps)
+        np.testing.assert_allclose(ratio, want_ratio[which], rtol=1e-14, atol=0)
+        assert (size == want_size[which]).all() and (depth == want_depth[which]).all()
+
+
+@pytest.mark.parametrize(
+    "config, r, j, value",
+    [("desk1", 2.0, 5, 3.17152696965476), ("tie", 1.0, 3, 3.40176339882803)],
+)
+def test_s2_mass_is_the_maximum_over_every_anchor(config, r, j, value):
+    # twenty evenly spaced anchors saw only 2.73382091076633 and 3.07267020684842 here
+    spec = cq.load_config(CLASS_CARPETS[config])
+    consts = cq.constants(spec, r)
+    got = cq.certify(spec, consts, [j]).certificates[0].check("s2-mass").value
+    assert got == pytest.approx(value, rel=1e-13)
+    ratio, _, _ = s2_profile(spec, consts, cq.build_upsilon(spec, consts, j).codes)
+    assert got == pytest.approx(ratio.max(), rel=1e-14)
+
+
+def test_certify_walks_one_s2_anchor_per_row_code_class(desk1, monkeypatch):
+    consts = cq.constants(desk1, 1.0)
+    walked, walk = [], cq.antichain.s2_family
+
+    def recording(spec, c, anchors):
+        walked.extend((order(w), w.b) for w in anchors.words)
+        return walk(spec, c, anchors)
+
+    monkeypatch.setattr(cq.antichain, "s2_family", recording)
+    cq.certify(desk1, consts, [5])
+    ups = cq.build_upsilon(desk1, consts, 5)
+    assert len(walked) == 31 < ups.psi
+    assert sorted(walked) == sorted({(order(w), w.b) for w in ups.words})
+
+
+@pytest.mark.parametrize("config, r, j", [("desk1", 1.0, 5), ("desk1", 2.0, 4), ("tie", 1.0, 4)])
+def test_s2_mass_witness_is_the_first_member_at_the_maximum(config, r, j):
+    spec = cq.load_config(CLASS_CARPETS[config])
+    consts = cq.constants(spec, r)
+    cert = cq.certify(spec, dataclasses.replace(consts, H3=1.0), [j]).certificates[0]
+    s2 = cert.check("s2-mass")
+    assert not s2.passed
+    # brute force: member by member in word order, the walk of the first
+    # member with the same order and row code; the first strict maximum wins
+    ups = cq.build_upsilon(spec, consts, j)
+    walks, best, best_ratio = {}, None, -math.inf
+    for w in ups.words:
+        key = (order(w), w.b)
+        if key not in walks:
+            walks[key] = s2_profile(spec, consts, word_codes(spec, [w]))[0][0]
+        if walks[key] > best_ratio:
+            best, best_ratio = w, walks[key]
+    assert (s2.value, s2.witness) == (best_ratio, cq.encode_word(best))
 
 
 def k1_slice(ups):
@@ -336,7 +436,7 @@ def test_certify_names_a_repeated_glued_word(desk1, consts2, monkeypatch):
 
 
 def test_certify_reports_empty_s2_families(desk1, consts2):
-    # with H2 < 1 every sampled anchor falls below its own cut
+    # with H2 < 1 every anchor falls below its own cut
     report = cq.certify(desk1, dataclasses.replace(consts2, H2=0.5), [2])
     cert = report.certificates[0]
     assert (cert.check("s2-mass").value, cert.check("s2-gap").value) == (0.0, 0)

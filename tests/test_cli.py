@@ -214,6 +214,28 @@ def test_r_beyond_normal_eta_lo_exits_2_with_one_error_line(desk1_path, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("r", ["1e-10", "1e-300"])
+@pytest.mark.parametrize("command", ["dimension", "certify", "run"])
+def test_r_below_the_small_r_floor_exits_2_with_one_error_line(
+    desk1_path, tmp_path, capsys, command, r
+):
+    # floats resolve s_r only to about (2/r) 2^-53 relative; at 1e-10 it
+    # would print 1.3495074863 for the limit 1.3495084466, at 1e-300 1.34e-284
+    argv = [command, "--config", desk1_path, "--r", r]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")] + SMALL_RUN
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"r = {float(r)} " in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_quantize_takes_an_r_below_the_small_r_floor(desk1_path, capsys):
+    # quantize never solves for s_r, so the floor does not apply to it
+    argv = ["quantize", "--config", desk1_path, "--r", "1e-10", "--k", "1", "--samples", "100"]
+    assert cli.main(argv + ["--restarts", "1"]) == 0
+
+
 def test_run_bad_config_exits_2(bad_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", "--config", bad_config, "--out", str(out)] + SMALL_RUN)
@@ -283,21 +305,31 @@ def test_bad_argument_exits_2(desk1_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
-# SHA-256 of `certify --j 0:6` and `antichain --j 0:6` stdout, re-recorded
-# when solve_sr began to bisect down to adjacent floats, which moved s_r and
+# SHA-256 of `certify --j 0:6` and `antichain --j 0:6` stdout.  Each digest
+# is what the shell prints for the command beside it, run with src on
+# PYTHONPATH from a directory whose desk1.json holds conftest.DESK1 and whose
+# tie.json holds TIE below; a deliberate output change is re-recorded by
+# running it again.  Last
+# re-recorded when certify began to walk the s2 family at every anchor (one
+# walk per (order, row code) class), which moved only the s2-mass values.
+# Before that, solve_sr's bisection down to adjacent floats moved s_r and
 # every constant in its last digits.  The certify digests were first taken
-# from the word-by-word implementation, the antichain ones while
-# JCertificate still kept its own copies of the certified numbers; both held
-# unchanged through every refactor since.  The printed floats carry the last-bit
-# rounding of this platform's libm (math.exp, math.log), so the digests hold
-# only on a libm that rounds as the recording one did.
+# from the word-by-word implementation.  The printed floats carry the
+# last-bit rounding of this platform's libm (math.exp, math.log), so the
+# digests hold only on a libm that rounds as the recording one did.
 CERTIFY_DIGESTS = {
-    ("certify", "desk1", "1"): "41611ef64de05da4a049d35343ef27735e960d34b060351384b166fb2ec08f0d",
-    ("certify", "desk1", "2"): "43f0b6a9c93c0b3ecb339ba6f64379a8cce8546a8db662e13c32204ec20e27db",
-    ("certify", "tie", "1"): "afa813c568f174887956e52570ced98dd5203ef483051c43a0d8c2411d4479cd",
-    ("antichain", "desk1", "1"): "a266a76c770959d5a7d571ec3c31dfe2b9dfd09c7ea4917bbd7314c22dff4ccc",
-    ("antichain", "desk1", "2"): "175614f235e29dff1ac8c4d4148f7973a7b3d1e5b985a1e1d55e52497a491e65",
-    ("antichain", "tie", "1"): "08bed7f95339255fe859132c1f7fd9ae5f854067cf2a5662dc1db42f776614e3",
+    # python -m carpetquant certify --config desk1.json --r 1 --j 0:6 | sha256sum
+    ("certify", "desk1", "1"): "0acfc7974ddc6b9c8dfef267ec1e0c6bc6fbec693ae637dbd0f3bbdc1e4a1dd4",
+    # python -m carpetquant certify --config desk1.json --r 2 --j 0:6 | sha256sum
+    ("certify", "desk1", "2"): "0db472b247e478910b716c84985500359521655886b82a0c31a82b4cbb7583ea",
+    # python -m carpetquant certify --config tie.json --r 1 --j 0:6 | sha256sum
+    ("certify", "tie", "1"): "c7f184de7430dfc62a568d2b180bcc41247c0c5b5b5c1128e8e5511088306e73",
+    # python -m carpetquant antichain --config desk1.json --r 1 --j 0:6 | sha256sum
+    ("antichain", "desk1", "1"): "3ce9fddbc509f10e345b148594cf0b8d9522088deb6103ae14ecf467106ca1ed",
+    # python -m carpetquant antichain --config desk1.json --r 2 --j 0:6 | sha256sum
+    ("antichain", "desk1", "2"): "526c37538510c7c29b86a55c745ab62bea7717f8a75064e91569e5b9e862276a",
+    # python -m carpetquant antichain --config tie.json --r 1 --j 0:6 | sha256sum
+    ("antichain", "tie", "1"): "dbde3b4034d2263bf1bdb762d03387ea21cf5f9bb5cc8d296456af696e8df464",
 }
 TIE = {"m": 2, "n": 4, "entries": [[0, 0, "1/2"], [1, 1, "1/4"], [3, 1, "1/4"]]}
 
@@ -369,6 +401,12 @@ def test_public_names_resolve():
             module = importlib.import_module(f"carpetquant.{node.module}")
             for alias in node.names:
                 assert getattr(carpetquant, alias.name) is getattr(module, alias.name)
+    # deleted names, which only their own tests used
+    from carpetquant import antichain, quantize
+
+    for owner, name in [(carpetquant, "distortion_stats"), (quantize, "distortion_stats")]:
+        assert not hasattr(owner, name), name
+    assert not hasattr(antichain, "S2_SAMPLES") and not hasattr(antichain, "_evenly_spaced")
 
 
 NO_SCIPY_SCRIPT = """

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import carpetquant as cq
 from carpetquant import Word, codes
-from carpetquant.antichain import S2_SAMPLES, _evenly_spaced, _exp, _log_epsilon
+from carpetquant.antichain import _exp, _log_epsilon, _row_code_classes
 from carpetquant.runner import _certificate_rows
 from reference_walks import (
     count_class_values,
@@ -87,13 +87,14 @@ def test_frontier_matches_reference_walks(spec, r, j):
     assert res.tau_count == len(want[2])
     assert count_class_values(spec, consts, res.l1_codes) == reference_values(spec, consts, res.l1)
 
-    # the batched s2 walk at certify's sampled anchors, member by member; with
-    # H2 = 1 the cut ties each anchor's own log energy, and a tie keeps
-    sampled = [got.words[i] for i in _evenly_spaced(range(got.psi), S2_SAMPLES)]
+    # the batched s2 walk at certify's anchors (one per order and row code),
+    # member by member; with H2 = 1 the cut ties each anchor's own log energy,
+    # and a tie keeps
+    anchors = _row_code_classes(got.codes)[0].words
     for c in (consts, dataclasses.replace(consts, H2=1.0)):
-        want = [reference_s2_family(spec, c, sigma) for sigma in sampled]
-        assert s2_families(spec, c, sampled) == want
-    fam, _ = cq.s2_family(spec, consts, word_codes(spec, sampled))
+        want = [reference_s2_family(spec, c, sigma) for sigma in anchors]
+        assert s2_families(spec, c, anchors) == want
+    fam, _ = cq.s2_family(spec, consts, word_codes(spec, anchors))
     assert count_class_values(spec, consts, fam) == reference_values(spec, consts, fam.words)
 
     # the batched pair walk: every distinct quota's pairs, log W and order
@@ -194,8 +195,7 @@ def test_object_codes_match_int64_codes(desk1, monkeypatch, config, r):
     assert snapshot(spec, consts, js) == want
     # the count-class values on object codes against the scalar sums
     res = cq.build_l1_l2(spec, consts, ups)
-    sampled = [ups.words[i] for i in _evenly_spaced(range(ups.psi), S2_SAMPLES)]
-    fam, _ = cq.s2_family(spec, consts, word_codes(spec, sampled))
+    fam, _ = cq.s2_family(spec, consts, _row_code_classes(ups.codes)[0])
     assert {blk.a.dtype for blk in fam.blocks + res.l1_codes.blocks} == {np.dtype(object)}
     for words in (ups.codes, fam, res.l1_codes):
         assert count_class_values(spec, consts, words) == reference_values(spec, consts, words.words)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import carpetquant as cq
+from carpetquant.constants import R_MIN
 
 
 def bisect_oracle(spec, r, steps=200):
@@ -72,6 +73,18 @@ def test_dimension_tends_to_the_small_r_limit(desk1, config):
     spec = desk1 if config == "desk1" else cq.load_config(TIE)
     r = 1e-6
     assert abs(cq.solve_sr(spec, r) - small_r_limit(spec)) <= r
+
+
+@pytest.mark.parametrize("config", ["desk1", "tie"])
+def test_constants_reject_r_below_the_small_r_floor(desk1, config):
+    # below R_MIN floats resolve s_r to worse than 1e-9 relative: on desk-1,
+    # r = 1e-14 solves to 1.3333333333 against the limit 1.3495084466
+    spec = desk1 if config == "desk1" else cq.load_config(TIE)
+    assert cq.constants(spec, 1e-6).s_r == cq.solve_sr(spec, 1e-6)
+    assert cq.constants(spec, R_MIN).s_r == pytest.approx(small_r_limit(spec), rel=1e-8)
+    for r in (math.nextafter(R_MIN, 0.0), 1e-10, 1e-300):
+        with pytest.raises(cq.ConfigError, match=f"^r = {r} is too small"):
+            cq.constants(spec, r)
 
 
 @pytest.mark.parametrize("config", ["desk1", "tie"])

@@ -163,8 +163,6 @@ def test_distortion_rejects_bad_r(desk1, r):
     cb = cq.Codebook(points=np.array([[0.45, 0.6]]), k=1, origin="random")
     with pytest.raises(ValueError, match="order exponent r"):
         cq.distortion(small, cb, r)
-    with pytest.raises(ValueError, match="order exponent r"):
-        cq.distortion_stats(small, cb, r)
 
 
 def test_empty_cell_repair(desk1):
@@ -207,21 +205,6 @@ def test_nested_codebooks(desk1):
         origin="random",
     )
     assert cq.distortion(small, extended, 2.0) <= cq.distortion(small, base, 2.0)
-
-
-def test_distortion_stats(pool):
-    cb = cq.Codebook(points=np.array([[0.45, 0.6]]), k=1, origin="random")
-    value, stderr = cq.distortion_stats(pool, cb, 2.0)
-    assert value == pytest.approx(cq.distortion(pool, cb, 2.0), rel=1e-12)
-    assert 0.0 < stderr < value
-
-
-def test_distortion_stats_rejects_no_batches(desk1):
-    small = cq.sample(desk1, 100, seed=4)
-    cb = cq.Codebook(points=np.array([[0.45, 0.6]]), k=1, origin="random")
-    for batches in (0, -3):
-        with pytest.raises(ValueError):
-            cq.distortion_stats(small, cb, 2.0, batches=batches)
 
 
 def test_r_not_two_descent(desk1):
@@ -301,8 +284,6 @@ def test_distortion_reads_the_nearest_distances_bit_for_bit(desk1, monkeypatch, 
             for r in (0.5, 1.0, 2.0, 3.0):
                 want = float(np.mean(d2 ** (r / 2.0)))
                 assert cq.distortion(pool, cb, r) == want, (k, r)
-                value, stderr = cq.distortion_stats(pool, cb, r)
-                assert (value, stderr) == (want, batch_stderr(d2 ** (r / 2.0))), (k, r)
     assert len(np.unique(centers, axis=0)) < len(centers)  # the grid's centers repeat
 
 
