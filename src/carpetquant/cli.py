@@ -24,6 +24,7 @@ from .runner import (
     RunConfig,
     StageError,
     _antichain_rows,
+    _best_per_k,
     _certificate_rows,
     _dimension_row,
     check_fields,
@@ -126,9 +127,11 @@ def _cmd_quantize(args) -> int:
     check_fields((args.r,), (), args.k, args.samples, args.seed, restarts=args.restarts)
     spec = _load_spec(args.config)
     pool = sample(spec, args.samples, args.seed)
+    results = _best_per_k(
+        lambda k: lloyd_best(pool, k, args.r, args.seed, restarts=args.restarts), args.k
+    )
     rows = []
-    for k in args.k:
-        res = lloyd_best(pool, k, args.r, args.seed, restarts=args.restarts)
+    for k, res in zip(args.k, results):
         rows.append((k, res.distortion ** (1.0 / args.r), res.iters, res.restarts_used))
         warn_capped(args.r, k, res)
     write_rows(sys.stdout, QUANTIZE_COLUMNS[1:], rows)

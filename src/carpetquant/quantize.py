@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "distortion",
     "lloyd",
     "lloyd_best",
+    "spread",
     "antichain_codebook",
     "theoretical_proxy",
 ]
@@ -47,6 +49,9 @@ _CHUNK_ENTRIES = 4_000_000
 _KEEP_MARGIN = 1e-9
 # Most steps one center update takes for r != 2.
 _CENTER_STEPS = 50
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 class BadK(ValueError):
@@ -196,11 +201,103 @@ def _dense(
 
 
 def _cpus() -> int:
-    """CPUs this process may run on; distortion's KD-tree query uses them all."""
+    """CPUs this process may run on; spread and distortion's KD-tree query use them all."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def spread(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
+    """[fn(x) for x in items], computed by W = min(_cpus(), len(items)) processes.
+
+    The calling process takes items 0, W, 2W, ... itself, so fn runs here
+    through whatever names it looks up, patched ones included.  Before it
+    starts, it forks W - 1 children, and child w takes items w, w + W, ....
+    A child pickles its results, or the exception that stopped it, into a
+    pipe of its own and leaves by os._exit: it runs no atexit handler and
+    flushes none of this process's stdio buffers.  For a deterministic fn
+    the split is invisible.  With one CPU, or without os.fork, nothing is
+    forked.
+
+    An exception in this process's share is raised at once.  Otherwise the
+    children are read in order: the first to have failed raises its
+    exception, and one that ended without a result raises RuntimeError
+    naming how it ended.  Every child not yet reaped is killed and reaped
+    before spread returns or raises, even on KeyboardInterrupt.  Forking is
+    safe because the package leaves no thread of its own running.
+    """
+    items = list(items)
+    workers = min(_cpus(), len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    import pickle
+    import signal
+
+    pids: list[int] = []  # children not yet reaped
+    reads: dict[int, int] = {}  # child pid -> read end of its pipe, while open
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _spread_child(fn, items[w::workers], write)
+            os.close(write)
+            pids.append(pid)
+            reads[pid] = read
+        results: list = [None] * len(items)
+        results[::workers] = [fn(x) for x in items[::workers]]
+        for w, pid in enumerate(list(pids), 1):
+            with open(reads.pop(pid), "rb") as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            if status or not data:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"exit code {code}" if code >= 0 else f"signal {-code}"
+                raise RuntimeError(f"spread worker {w} (pid {pid}) ended without a result: {how}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results[w::workers] = value
+        return results
+    finally:
+        for read in reads.values():
+            os.close(read)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _spread_child(fn: Callable, items: list, write: int) -> NoReturn:
+    """A forked child of spread: send its share's results, or its exception, then exit.
+
+    An exception that does not survive a pickle round trip is sent as a
+    RuntimeError carrying its type and message.  The exit code is 0 only
+    after the whole message is written.
+    """
+    import pickle
+
+    code = 1
+    try:
+        try:
+            data = pickle.dumps((True, [fn(x) for x in items]))
+        except BaseException as exc:  # forwarded to the caller, which raises it
+            try:
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _nearest(

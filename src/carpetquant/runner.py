@@ -20,7 +20,7 @@ from typing import Callable, Sequence, TextIO, TypeVar
 from .antichain import DEFAULT_CAP, CertificateReport, certify
 from .carpet import CarpetError, CarpetSpec, ConfigError, load_config, validate_spec
 from .constants import SpectralConstants, checked_eta_lo, constants
-from .quantize import LloydResult, lloyd_best, sample
+from .quantize import LloydResult, lloyd_best, sample, spread
 
 __all__ = [
     "StageError",
@@ -153,6 +153,17 @@ def warn_capped(r: float, k: int, res: LloydResult) -> None:
         )
 
 
+def _best_per_k(descend: Callable[[int], LloydResult], ks: Sequence[int]) -> list[LloydResult]:
+    """descend(k) for each k of a grid, in grid order, run once per distinct k.
+
+    The distinct ks are spread over the CPUs largest first, since the
+    largest codebook takes the longest descent.
+    """
+    distinct = sorted(set(ks), reverse=True)
+    best = dict(zip(distinct, spread(descend, distinct)))
+    return [best[k] for k in ks]
+
+
 def validate_run_config(cfg: RunConfig) -> CarpetSpec:
     """Check every field and load the carpet; raise ConfigError otherwise."""
     try:
@@ -233,11 +244,12 @@ def run(cfg: RunConfig) -> int:
             certificate_rows.extend(_certificate_rows(r, report))
             all_pass = all_pass and report.all_pass
 
-            results: list[LloydResult] = []
-            for k in cfg.k_grid:
-                results.append(
-                    _stage("quantize", lloyd_best, pool, k, r, cfg.seed, cfg.restarts)
-                )
+            results = _stage(
+                "quantize",
+                _best_per_k,
+                lambda k: lloyd_best(pool, k, r, cfg.seed, cfg.restarts),
+                cfg.k_grid,
+            )
             errors = [res.distortion ** (1.0 / r) for res in results]
             for k, res, e in zip(cfg.k_grid, results, errors):
                 quantize_rows.append((r, k, e, res.iters, res.restarts_used))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -9,6 +10,24 @@ DESK1 = {"m": 2, "n": 3, "entries": [[0, 0, 0.4], [1, 1, 0.3], [2, 1, 0.3]]}
 
 POOL_SEED = 20240816
 POOL_SIZE = 200_000
+
+
+def _has_child() -> bool:
+    """Whether this process has a child, running or zombie (a zombie is reaped)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child of the pytest process, running or zombie."""
+    had_child = _has_child()
+    yield
+    if not had_child and _has_child():
+        pytest.fail("the test left a child process of the test process behind")
 
 
 @pytest.fixture(scope="session")

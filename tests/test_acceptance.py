@@ -269,12 +269,14 @@ def test_criterion_8_proxy_consistency(desk1, consts2, pool, upsilon):
         assert max(ratios) / min(ratios) <= 4.0
 
 
-def test_criterion_9_run_determinism(desk1_path, tmp_path):
+def test_criterion_9_run_determinism(desk1_path, tmp_path, monkeypatch):
     with Budget(9, "end-to-end run determinism", 300.0):
         outs = (tmp_path / "first", tmp_path / "second")
-        for out in outs:
-            cfg = RunConfig(carpet=desk1_path, output_dir=out)
-            assert run(cfg) == 0
+        assert run(RunConfig(carpet=desk1_path, output_dir=outs[0])) == 0
+        # The second run descends in this process alone, so the k grid spread
+        # over forked workers is checked against the in-process loop.
+        monkeypatch.setattr(cq.quantize, "_cpus", lambda: 1)
+        assert run(RunConfig(carpet=desk1_path, output_dir=outs[1])) == 0
         names = (
             "dimension.csv", "antichain.csv", "certificates.csv",
             "quantize.csv", "summary.csv",

@@ -169,6 +169,55 @@ def test_capped_lloyd_warns_once_per_r_and_k(desk1_path, tmp_path, capsys, monke
     )
 
 
+def test_run_descends_once_per_distinct_k(desk1_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(quantize, "_cpus", lambda: 1)  # every descent runs in this process
+    calls = []
+
+    def counted(pool, k, *args, **kwargs):
+        calls.append(k)
+        return quantize.lloyd_best(pool, k, *args, max_iters=2, **kwargs)
+
+    monkeypatch.setattr(runner, "lloyd_best", counted)
+    monkeypatch.setattr(cli, "lloyd_best", counted)
+    out = tmp_path / "out"
+    argv = ["--config", desk1_path, "--k", "4,4,8", "--samples", "500", "--restarts", "2"]
+    assert cli.main(["run", "--out", str(out), "--j", "0:1"] + argv) == 0
+    assert calls == [8, 4]
+    rows = (out / "quantize.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["4", "4", "8"] and rows[0] == rows[1]
+    warnings = capsys.readouterr().err.splitlines()
+    assert [w.split(":")[1] for w in warnings] == [" r=2 k=4", " r=2 k=4", " r=2 k=8"]
+    calls.clear()
+    assert cli.main(["quantize"] + argv) == 0
+    assert calls == [8, 4]
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["4", "4", "8"] and rows[0] == rows[1]
+    assert len(captured.err.splitlines()) == 3
+
+
+def test_run_and_quantize_outputs_do_not_depend_on_the_cpu_count(
+    desk1_path, tmp_path, capsys, monkeypatch
+):
+    # a cap of 8 iterations stops some descents, so the warnings are compared too
+    capped = functools.partial(quantize.lloyd_best, max_iters=8)
+    monkeypatch.setattr(runner, "lloyd_best", capped)
+    monkeypatch.setattr(cli, "lloyd_best", capped)
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(quantize, "_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        argv = ["--config", desk1_path, "--k", "1,2,4,8,16", "--samples", "1000", "--restarts", "3"]
+        assert cli.main(["run", "--out", str(out), "--r", "0.5,1,2,3", "--j", "0:1"] + argv) == 0
+        run_err = capsys.readouterr().err
+        assert cli.main(["quantize", "--r", "1.5"] + argv) == 0
+        printed = capsys.readouterr()
+        files = [(out / name).read_bytes() for name in RUN_FILES]
+        outputs.append((files, run_err, printed.out, printed.err))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count("warning:") >= 4 and "warning:" in outputs[0][3]
+
+
 def test_fit_slope_without_a_line_is_nan():
     # no spread in k, a zero error, and a single k with a zero error
     for ks, errors in [((4, 4), (0.1, 0.2)), ((1, 4), (0.3, 0.0)), ((4,), (0.0,))]:

@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -767,6 +770,107 @@ def test_lloyd_best_rejects_zero_restarts(desk1):
     small = cq.sample(desk1, 100, seed=4)
     with pytest.raises(ValueError):
         cq.lloyd_best(small, 2, 2.0, seed=3, restarts=0)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_spread_equals_the_loop(monkeypatch, cpus, n):
+    monkeypatch.setattr(qz, "_cpus", lambda: cpus)
+    items = [0.5 * x for x in range(n)]
+    assert qz.spread(math.exp, items) == [math.exp(x) for x in items]
+    assert_no_child_left()
+
+
+def test_spread_deals_items_round_robin_and_keeps_a_share(monkeypatch):
+    monkeypatch.setattr(qz, "_cpus", lambda: 3)
+    pids = qz.spread(lambda _: os.getpid(), range(7))
+    assert pids[::3] == [os.getpid()] * 3
+    assert len(set(pids[1::3])) == len(set(pids[2::3])) == 1 and len(set(pids)) == 3
+    assert_no_child_left()
+
+
+class _TwoArgError(Exception):
+    """Does not survive a pickle round trip: its args hold one message, not two values."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def _fail_at_one(x):
+    if x == 1:
+        raise ValueError(f"no descent at item {x}")
+    if x == 3:
+        raise _TwoArgError("item 3", "no descent")
+    return x
+
+
+@pytest.mark.parametrize(
+    "items, error, message",
+    [([0, 1, 2], ValueError, "no descent at item 1"),
+     ([0, 3], RuntimeError, "_TwoArgError: item 3: no descent")],
+)
+def test_spread_raises_a_child_exception(monkeypatch, items, error, message):
+    monkeypatch.setattr(qz, "_cpus", lambda: 2)  # item 1 goes to the child
+    with pytest.raises(error, match=message):
+        qz.spread(_fail_at_one, items)
+    assert_no_child_left()
+
+
+def test_a_failed_child_descent_fails_the_quantize_stage(desk1_path, tmp_path, monkeypatch):
+    from carpetquant import runner
+
+    def lloyd_best(pool, k, *args):
+        if k == 1:  # the ks run largest first, so the child takes k = 1
+            raise qz.BadK("no codebook of size 1 here")
+        return qz.lloyd_best(pool, k, *args)
+
+    monkeypatch.setattr(qz, "_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "lloyd_best", lloyd_best)
+    cfg = cq.RunConfig(
+        carpet=desk1_path, output_dir=tmp_path, j_range=(0, 1), k_grid=(1, 2), samples=500, restarts=1
+    )
+    with pytest.raises(cq.StageError, match="stage 'quantize' failed: no codebook of size 1") as info:
+        runner.run(cfg)
+    assert isinstance(info.value.cause, qz.BadK)
+    lines = {name: (tmp_path / f"{name}.csv").read_text().splitlines() for name in
+             ("dimension", "antichain", "certificates", "quantize", "summary")}
+    assert len(lines["dimension"]) == 2 and len(lines["antichain"]) == 3
+    assert len(lines["certificates"]) > 2
+    assert len(lines["quantize"]) == len(lines["summary"]) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "end, how",
+    [(lambda: os._exit(3), "exit code 3"),
+     (lambda: os._exit(0), "exit code 0"),
+     (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {int(signal.SIGKILL)}")],
+)
+def test_spread_names_a_child_that_ends_without_a_result(monkeypatch, end, how):
+    monkeypatch.setattr(qz, "_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=f"ended without a result: {how}$"):
+        qz.spread(lambda x: end() if x == 1 else x, [0, 1])
+    assert_no_child_left()
+
+
+def test_spread_interrupted_in_its_own_share_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(qz, "_cpus", lambda: 2)
+
+    def work(x):
+        if x == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        qz.spread(work, [0, 1])
+    assert time.perf_counter() - start < 30  # the sleeping child was killed, not awaited
+    assert_no_child_left()
 
 
 def test_antichain_codebook_j0(desk1, consts2, upsilon):
