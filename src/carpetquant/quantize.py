@@ -226,6 +226,11 @@ def spread(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
     naming how it ended.  Every child not yet reaped is killed and reaped
     before spread returns or raises, even on KeyboardInterrupt.  Forking is
     safe because the package leaves no thread of its own running.
+
+    While the children run, each process is bound to a CPU of its own,
+    child w to the w-th allowed CPU and this process to the first, whose
+    full set it gets back at the end: the kernel may leave a freshly forked
+    process on its parent's CPU for longer than a short descent takes.
     """
     items = list(items)
     workers = min(_cpus(), len(items))
@@ -234,6 +239,7 @@ def spread(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
     import pickle
     import signal
 
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     pids: list[int] = []  # children not yet reaped
     reads: dict[int, int] = {}  # child pid -> read end of its pipe, while open
     try:
@@ -246,10 +252,12 @@ def spread(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
                 os.close(write)
                 raise
             if pid == 0:
-                _spread_child(fn, items[w::workers], write)
+                own = [cpus[w % len(cpus)]] if cpus else []
+                _spread_child(fn, items[w::workers], write, own)
             os.close(write)
             pids.append(pid)
             reads[pid] = read
+        _pin(cpus[:1])
         results: list = [None] * len(items)
         results[::workers] = [fn(x) for x in items[::workers]]
         for w, pid in enumerate(list(pids), 1):
@@ -267,6 +275,7 @@ def spread(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
             results[w::workers] = value
         return results
     finally:
+        _pin(cpus)
         for read in reads.values():
             os.close(read)
         for pid in pids:
@@ -274,7 +283,16 @@ def spread(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
             os.waitpid(pid, 0)
 
 
-def _spread_child(fn: Callable, items: list, write: int) -> NoReturn:
+def _pin(cpus: list[int]) -> None:
+    """Let this process run only on cpus, where the platform allows it."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:  # a CPU taken away meanwhile: stay where we are
+            pass
+
+
+def _spread_child(fn: Callable, items: list, write: int, cpus: list[int]) -> NoReturn:
     """A forked child of spread: send its share's results, or its exception, then exit.
 
     An exception that does not survive a pickle round trip is sent as a
@@ -285,6 +303,7 @@ def _spread_child(fn: Callable, items: list, write: int) -> NoReturn:
 
     code = 1
     try:
+        _pin(cpus)
         try:
             data = pickle.dumps((True, [fn(x) for x in items]))
         except BaseException as exc:  # forwarded to the caller, which raises it

@@ -772,9 +772,18 @@ def test_lloyd_best_rejects_zero_restarts(desk1):
         cq.lloyd_best(small, 2, 2.0, seed=3, restarts=0)
 
 
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="no CPU affinity calls on this platform"
+)
+ALLOWED_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
 def assert_no_child_left():
+    """No child of this process is left, and spread gave this process its CPUs back."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    if ALLOWED_CPUS is not None:
+        assert os.sched_getaffinity(0) == ALLOWED_CPUS
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
@@ -786,11 +795,16 @@ def test_spread_equals_the_loop(monkeypatch, cpus, n):
     assert_no_child_left()
 
 
+@needs_affinity
 def test_spread_deals_items_round_robin_and_keeps_a_share(monkeypatch):
     monkeypatch.setattr(qz, "_cpus", lambda: 3)
-    pids = qz.spread(lambda _: os.getpid(), range(7))
+    allowed = sorted(ALLOWED_CPUS)
+    seen = qz.spread(lambda _: (os.getpid(), os.sched_getaffinity(0)), range(7))
+    pids = [pid for pid, _ in seen]
     assert pids[::3] == [os.getpid()] * 3
     assert len(set(pids[1::3])) == len(set(pids[2::3])) == 1 and len(set(pids)) == 3
+    # worker w ran on the w-th allowed CPU alone
+    assert [cpus for _, cpus in seen] == [{allowed[w % 3 % len(allowed)]} for w in range(7)]
     assert_no_child_left()
 
 
