@@ -499,21 +499,17 @@ def _check(
 
 
 def _row_code_classes(words: WordCodes) -> tuple[WordCodes, np.ndarray]:
-    """The first word of each (order, row code) class, and its index in ``words``.
+    """The first word of each (order, row code) class, canonical, and each one's index in ``words``.
 
     Below a word of order k, ``codes.expand`` picks the upgrade cells from its
     row code alone, and each energy increment depends only on the digits
     added; so the words of one class share one s2 family up to their cells:
     the same energy ratio, size and depth.
     """
-    firsts, pos, at, start = [], [], [], 0
-    for blk, p in zip(words.blocks, words.pos):
-        first = np.unique(blk.b, return_index=True)[1]
-        firsts.append(blk.take(first))
-        at.append(p[first])
-        pos.append(np.arange(start, start + len(first)))
-        start += len(first)
-    return WordCodes(words.spec, tuple(firsts), tuple(pos)), np.concatenate(at)
+    firsts = [np.unique(blk.b, return_index=True)[1] for blk in words.blocks]
+    blocks = [blk.take(first) for blk, first in zip(words.blocks, firsts)]
+    reps, perms = WordCodes.from_blocks(words.spec, blocks)
+    return reps, np.concatenate([p[f][q] for p, f, q in zip(words.pos, firsts, perms)])
 
 
 def _first_repeat(words: WordCodes) -> Word:
@@ -587,9 +583,9 @@ def certify(
         log_wm = members.log_sum(pw.log_p_tilde, pw.log_q_tilde)
         w_mass = _exp(log_wm)
         scan = s1_scan(spec, members, w_mass)
-        ratio = scan.w_sum / w_mass[scan.anchor]
+        ratio = scan.w_sum / w_mass
         i_s1 = int(np.argmax(ratio))
-        s1_wit = at(scan.anchor[i_s1])
+        s1_wit = at(i_s1)
         add(_check(j, "s1-mass", ratio[i_s1], "<=", consts.H1 * (1.0 + LOG_SLACK), s1_wit))
         add(_check(j, "s1-gap", scan.gap.max(), "<=", float(consts.H1)))
 

@@ -53,10 +53,8 @@ def product_weights(spec: CarpetSpec, consts: SpectralConstants) -> ProductWeigh
 
 
 class S1Scan(NamedTuple):
-    """Per-anchor aggregates of the overlap family, anchors in the order a
-    word-by-word scan first meets them (word order, then anchor order)."""
+    """Per-anchor aggregates of the overlap family, one entry per member in word order."""
 
-    anchor: np.ndarray  # index of the anchor among the members
     w_sum: np.ndarray  # W masses of the family, added in word order
     gap: np.ndarray  # largest order gap within the family
 
@@ -72,7 +70,9 @@ def s1_scan(spec: CarpetSpec, members: WordCodes, w: np.ndarray) -> S1Scan:
     aligned prefix of tau that is itself a member is an anchor whose family
     contains tau; each member is its own anchor.  One prefix lookup per
     (anchor order, word order) pair of code blocks replaces O(words^2)
-    comparisons.
+    comparisons.  Entry i of the result belongs to member i: a family holds
+    its anchor and words of higher order only, so a word-by-word scan of the
+    canonical sequence meets the anchors in this order too.
     """
     taus, anchors, gaps = [], [], []
     for blk_k, pos_k in zip(members.blocks, members.pos):
@@ -92,7 +92,4 @@ def s1_scan(spec: CarpetSpec, members: WordCodes, w: np.ndarray) -> S1Scan:
     w_sum = np.bincount(anchor, weights=w[tau], minlength=n)
     max_gap = np.zeros(n, dtype=np.int64)
     np.maximum.at(max_gap, anchor, gap)
-    first = np.full(n, n)
-    np.minimum.at(first, anchor, tau)
-    met = np.lexsort((members.orders(), first))
-    return S1Scan(anchor=met, w_sum=w_sum[met], gap=max_gap[met])
+    return S1Scan(w_sum=w_sum, gap=max_gap)

@@ -36,9 +36,11 @@ __all__ = [
     "theoretical_proxy",
 ]
 
-# Above this codebook size a KD-tree beats dense scoring; its distances are
-# exact too, equal to the dense ones up to rounding.  scipy is imported only
-# on that path.
+# Above this codebook size a KD-tree replaces dense scoring; its distances
+# are exact too, equal to the dense ones up to rounding.  The tree is faster
+# well below it (from about k = 64 on a 200k-point pool, k = 192 on a 10k
+# one), but the split decides which rounding proxy prints, and scipy, which
+# only the tree path imports, stays out of every run with k <= 512.
 _TREE_THRESHOLD = 512
 _CHUNK_ENTRIES = 4_000_000
 # Lloyd keeps a label without rescoring only when its bounds put every rival
@@ -554,29 +556,6 @@ def _newton_centers(
     return candidates[np.argmin((old_cost, mean_cost, sums[0]), axis=0), np.arange(k)]
 
 
-def _separation(centers: np.ndarray) -> np.ndarray:
-    """Each center's distance to its nearest other center (inf when k = 1).
-
-    Up to _TREE_THRESHOLD centers a dense k-by-k search takes the sqrt of
-    the least dx*dx + dy*dy off the diagonal.  A KD-tree adds the same
-    squares to 0 and sqrt is monotone, so these are the tree's distances bit
-    for bit.  Above the threshold the tree runs.
-    """
-    k = len(centers)
-    if k > _TREE_THRESHOLD:
-        from scipy.spatial import cKDTree
-
-        return cKDTree(centers).query(centers, k=2)[0][:, 1]
-    x, y = centers[:, 0], centers[:, 1]
-    d2 = x[:, None] - x
-    d2 *= d2
-    dy = y[:, None] - y
-    dy *= dy
-    d2 += dy
-    np.fill_diagonal(d2, np.inf)
-    return np.sqrt(d2.min(axis=1))
-
-
 def _reassign(
     points: np.ndarray,
     centers: np.ndarray,
@@ -590,13 +569,16 @@ def _reassign(
     the distortion needs anyway.  A label is kept when every rival is farther
     by the margin, through lower (a bound on the second-nearest distance) or
     through s, half the distance from the assigned center to its nearest
-    other center (_separation): a rival lies at least 2s - d away.  The
-    other points go through _nearest.  Updates labels and lower in place;
-    returns the squared distances to the assigned centers.
+    other center: a rival lies at least 2s - d away.  That distance is the
+    second distance of _nearest(centers, centers), so it carries the
+    score's rounding, which the margin dwarfs as it does for lower; a
+    duplicate center's is about 0 and keeps no label.  The other points go
+    through _nearest.  Updates labels and lower in place; returns the
+    squared distances to the assigned centers.
     """
     dmin2 = _sq_norms(points - centers.take(labels, axis=0))
     slack = _KEEP_MARGIN * scale * scale
-    half = 0.5 * _separation(centers)
+    half = 0.5 * np.sqrt(_nearest(centers, centers)[2])
     # (2s - d)^2 - d^2 = 4s(s - d) > slack  <=>  d < s - slack / (4s)
     with np.errstate(divide="ignore"):
         reach = half - slack / (4.0 * half)

@@ -453,7 +453,11 @@ def test_public_names_resolve():
     # deleted names, which only their own tests used
     from carpetquant import antichain, quantize
 
-    for owner, name in [(carpetquant, "distortion_stats"), (quantize, "distortion_stats")]:
+    for owner, name in [
+        (carpetquant, "distortion_stats"),
+        (quantize, "distortion_stats"),
+        (quantize, "_separation"),
+    ]:
         assert not hasattr(owner, name), name
     assert not hasattr(antichain, "S2_SAMPLES") and not hasattr(antichain, "_evenly_spaced")
 

@@ -168,7 +168,6 @@ def snapshot(spec, consts, js):
             (
                 ups.words,
                 ups.log_w.tolist(),
-                scan.anchor.tolist(),
                 scan.w_sum.tolist(),
                 scan.gap.tolist(),
                 res.l1,

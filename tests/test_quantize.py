@@ -290,37 +290,6 @@ def test_distortion_reads_the_nearest_distances_bit_for_bit(desk1, monkeypatch, 
     assert len(np.unique(centers, axis=0)) < len(centers)  # the grid's centers repeat
 
 
-def tree_separation(centers):
-    from scipy.spatial import cKDTree
-
-    return cKDTree(centers).query(centers, k=2)[0][:, 1]
-
-
-def test_separation_equals_kdtree_bitwise(desk1, monkeypatch):
-    one = np.array([[0.25, 0.5]])
-    assert qz._separation(one)[0] == np.inf == tree_separation(one)[0]
-    dup = np.array([[0.1, 0.2], [0.7, 0.3], [0.1, 0.2]])
-    assert qz._separation(dup).tolist() == [0.0, tree_separation(dup)[1], 0.0]
-    rng = np.random.default_rng(8)
-    chaos = cq.sample(desk1, 5000, seed=2).points
-    for trial in range(300):
-        k = int(rng.integers(2, 513))
-        centers = (
-            rng.random((k, 2)),
-            rng.integers(0, 17, size=(k, 2)) / 16,  # exact ties and duplicates
-            rng.random((k, 2)) * 1e3,
-            chaos[rng.choice(len(chaos), size=k, replace=False)],
-        )[trial % 4]
-        got = qz._separation(centers)
-        assert np.array_equal(got.view(np.int64), tree_separation(centers).view(np.int64))
-    # above the threshold the tree runs; the dense search agrees there too
-    centers = chaos[:600]
-    assert np.array_equal(qz._separation(centers), tree_separation(centers))
-    monkeypatch.setattr(qz, "_TREE_THRESHOLD", 1000)
-    dense = qz._separation(centers)
-    assert np.array_equal(dense.view(np.int64), tree_separation(centers).view(np.int64))
-
-
 def tree_nearest(points, centers):
     """_nearest with the KD-tree path forced at any codebook size."""
     old = qz._TREE_THRESHOLD
@@ -698,24 +667,28 @@ def test_r1_center_leaves_a_doubled_point_that_is_not_the_median():
     assert np.allclose(new, reference_newton_centers(points, one_cell(points), old, 1.0), rtol=1e-12, atol=0.0)
 
 
-def assert_matches_reference(pool, k, r, init, max_iters=100):
+def assert_matches_reference(pool, k, r, init, max_iters=100, rtol=0.0):
     trace, ref_trace = [], []
     res = cq.lloyd(pool, k, r, init=init, max_iters=max_iters, trace=trace)
     centers, dist, iters, repairs = reference_lloyd(
         pool, k, r, init, max_iters=max_iters, trace=ref_trace
     )
     assert np.array_equal(res.codebook.points, centers)
-    assert res.distortion == dist
     assert (res.iters, res.repairs) == (iters, repairs)
-    assert trace == ref_trace
+    # rtol = 0 asks for equal floats
+    np.testing.assert_allclose(res.distortion, dist, rtol=rtol, atol=0)
+    np.testing.assert_allclose(trace, ref_trace, rtol=rtol, atol=0)
     return res
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
-@pytest.mark.parametrize("k", [1, 2, 8, 64])
+@pytest.mark.parametrize("k", [1, 2, 8, 64, 300, 600])
 def test_bounded_lloyd_matches_full_rescore(desk1, k, r):
+    # Above _TREE_THRESHOLD the rescored points carry the KD-tree's
+    # distances, which agree with the reference's dense ones to rounding.
     small = cq.sample(desk1, 3000 if r == 2.0 else 1000, seed=40 + k)
-    assert_matches_reference(small, k, r, init=k, max_iters=100 if r == 2.0 else 25)
+    rtol = 1e-12 if k > qz._TREE_THRESHOLD else 0.0
+    assert_matches_reference(small, k, r, init=k, max_iters=100 if r == 2.0 else 25, rtol=rtol)
 
 
 def test_bounded_lloyd_matches_full_rescore_through_repairs(desk1):
