@@ -174,8 +174,7 @@ def build_upsilon(
         front, parent, cell, row = codes.expand(spec, front)
         lw = lw[parent] if cell is None else lw[parent] + tab.up[cell]
         lw = lw + step[row]
-    members, perms = WordCodes.from_blocks(spec, [blk for blk, _ in found])
-    log_w = np.concatenate([w[p] for (_, w), p in zip(found, perms)])
+    members, log_w = WordCodes.from_blocks(spec, [b for b, _ in found], [w for _, w in found])
     return Antichain(j=j, codes=members, log_w=log_w)
 
 
@@ -202,8 +201,7 @@ def s2_family(
     while start or len(le):
         if k in start:
             blk, p = start.pop(k)
-            dt = codes.code_dtype(spec, k)
-            front = Block(k, *(np.concatenate([front[i], blk[i]]).astype(dt) for i in (1, 2)))
+            front = codes.join(spec, k, [front, blk])
             owner, le = np.concatenate([owner, p]), np.concatenate([le, base[p]])
         keep = le >= cut[owner]
         front, owner, le = front.take(keep), owner[keep], le[keep]
@@ -212,9 +210,7 @@ def s2_family(
         front, parent, cell, row = codes.expand(spec, front)
         owner, le = owner[parent], le[parent] + (flat[row] if cell is None else upgrade[cell, row])
         k += 1
-    members, perms = WordCodes.from_blocks(spec, [blk for blk, _ in found])
-    owner = [o[p] for (_, o), p in zip(found, perms)]
-    return members, np.concatenate(owner) if owner else np.zeros(0, dtype=np.int64)
+    return WordCodes.from_blocks(spec, [b for b, _ in found], [o for _, o in found])
 
 
 def _pair_step(
@@ -377,23 +373,18 @@ def build_l1_l2(
         cells, rows = codes.decode(spec, Block(d, pairs.a[p : p + 1], pairs.b[p : p + 1]), ns)[0]
         head = codes.decode(spec, taus.take(tau[i : i + 1]))[0]
         misfit = Word(head.a + cells, head.b + rows)
-    parts: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {
-        k1: [(lam.a, lam.b, np.arange(len(lam.a)))]
-    }
+    parts: dict[int, list[tuple[Block, np.ndarray]]] = {k1: [(lam, np.arange(len(lam.a)))]}
     for d, ns in sorted(set(zip(pairs.depth.tolist(), pairs.cells.tolist()))):
         sel = np.flatnonzero((depth == d) & (n_cells == ns))
         dt = codes.code_dtype(spec, k1 + d)
         a = taus.a[tau[sel]].astype(dt) * g**ns + pairs.a[pair[sel]].astype(dt)
         b = taus.b[tau[sel]].astype(dt) * m ** (d - ns) + pairs.b[pair[sel]].astype(dt)
-        parts.setdefault(k1 + d, []).append((a, b, len(lam.a) + glued[sel]))
-    blocks, pos = [], []
-    for k in sorted(parts):
-        dt = codes.code_dtype(spec, k)
-        blocks.append(
-            Block(k, *(np.concatenate([p[i].astype(dt) for p in parts[k]]) for i in (0, 1)))
-        )
-        pos.append(np.concatenate([p[2] for p in parts[k]]))
-    l1 = WordCodes(spec, tuple(blocks), tuple(pos))
+        parts.setdefault(k1 + d, []).append((Block(k1 + d, a, b), len(lam.a) + glued[sel]))
+    l1 = WordCodes(
+        spec,
+        tuple(codes.join(spec, k, [blk for blk, _ in parts[k]]) for k in sorted(parts)),
+        tuple(np.concatenate([p for _, p in parts[k]]) for k in sorted(parts)),
+    )
 
     member = {blk.k: np.unique(codes.keys(spec, blk)) for blk in l1.blocks}
     l1_distinct = sum(len(v) for v in member.values()) == len(l1)
@@ -404,8 +395,7 @@ def build_l1_l2(
             core.setdefault(k, []).append(chain[k].take(top == k))
     l2_blocks = []
     for k in sorted(core):
-        dt = codes.code_dtype(spec, k)
-        blk = Block(k, *(np.concatenate([c[i].astype(dt) for c in core[k]]) for i in (1, 2)))
+        blk = codes.join(spec, k, core[k])
         l2_blocks.append(blk.take(np.unique(codes.keys(spec, blk), return_index=True)[1]))
     l2, _ = WordCodes.from_blocks(spec, l2_blocks)
     return L1L2Result(
@@ -498,18 +488,32 @@ def _check(
     )
 
 
+def _scan(
+    j: int, name: str, values: np.ndarray, op: str, bound: float, seq: WordCodes,
+    at: np.ndarray | None = None,
+) -> CertificateCheck:
+    """Decide the extreme of values that fails first: the least for >=, the greatest for <= and <.
+
+    The witness is the first word of ``seq`` at that extreme; where values
+    covers only some words, entry i belongs to word at[i].
+    """
+    i = int(np.argmin(values) if op == ">=" else np.argmax(values))
+    word = i if at is None else int(at[i])
+    return _check(j, name, values[i], op, bound, partial(seq.word, word))
+
+
 def _row_code_classes(words: WordCodes) -> tuple[WordCodes, np.ndarray]:
     """The first word of each (order, row code) class, canonical, and each one's index in ``words``.
 
     Below a word of order k, ``codes.expand`` picks the upgrade cells from its
     row code alone, and each energy increment depends only on the digits
     added; so the words of one class share one s2 family up to their cells:
-    the same energy ratio, size and depth.
+    the same energy ratio, size and depth.  The indices increase when
+    ``words`` is canonical.
     """
     firsts = [np.unique(blk.b, return_index=True)[1] for blk in words.blocks]
     blocks = [blk.take(first) for blk, first in zip(words.blocks, firsts)]
-    reps, perms = WordCodes.from_blocks(words.spec, blocks)
-    return reps, np.concatenate([p[f][q] for p, f, q in zip(words.pos, firsts, perms)])
+    return WordCodes.from_blocks(words.spec, blocks, [p[f] for p, f in zip(words.pos, firsts)])
 
 
 def _first_repeat(words: WordCodes) -> Word:
@@ -534,8 +538,8 @@ def certify(
     Every certified inequality is checked against its explicit constant;
     log-scale comparisons carry a 1e-11 roundoff allowance (a real violation
     is orders of magnitude larger).  Failures name the check and a witness.
-    Each min/max scan runs over whole arrays in word order, and its witness
-    is the first word that attains the extreme.
+    Each min/max scan is one rule (_scan): it runs over a whole array in
+    word order, and its witness is the first word that attains the extreme.
     """
     j_list = sorted(set(int(j) for j in j_values))
     idx = derive_indices(spec)
@@ -560,15 +564,9 @@ def certify(
         lws = ups.log_w
         orders = members.orders()
 
-        def at(i: int, seq: WordCodes = members) -> Callable[[], Word]:
-            return partial(seq.word, int(i))
-
         # weight band: eta^(j+1) <= weight < eta^j for every member
-        lo_band = lws - (j + 1) * log_eta
-        hi_band = lws - j * log_eta
-        i_lo, i_hi = int(np.argmin(lo_band)), int(np.argmax(hi_band))
-        add(_check(j, "weight-band-lower", lo_band[i_lo], ">=", 0.0, at(i_lo)))
-        add(_check(j, "weight-band-upper", hi_band[i_hi], "<", 0.0, at(i_hi)))
+        add(_scan(j, "weight-band-lower", lws - (j + 1) * log_eta, ">=", 0.0, members))
+        add(_scan(j, "weight-band-upper", lws - j * log_eta, "<", 0.0, members))
 
         # the members tile the carpet: cylinder masses sum to 1
         mass = math.fsum(map(math.exp, (lws + orders * consts.r * log_m).tolist()))
@@ -583,34 +581,28 @@ def certify(
         log_wm = members.log_sum(pw.log_p_tilde, pw.log_q_tilde)
         w_mass = _exp(log_wm)
         scan = s1_scan(spec, members, w_mass)
-        ratio = scan.w_sum / w_mass
-        i_s1 = int(np.argmax(ratio))
-        s1_wit = at(i_s1)
-        add(_check(j, "s1-mass", ratio[i_s1], "<=", consts.H1 * (1.0 + LOG_SLACK), s1_wit))
+        add(_scan(j, "s1-mass", scan.w_sum / w_mass, "<=", consts.H1 * (1.0 + LOG_SLACK), members))
         add(_check(j, "s1-gap", scan.gap.max(), "<=", float(consts.H1)))
 
         # embedding sandwich for members of aligned order
         aligned = np.flatnonzero(orders >= k_aligned)
         if len(aligned):
             gap = log_wm[aligned] - t * lws[aligned]
-            i_lo, i_hi = int(np.argmin(gap)), int(np.argmax(gap))
-            sw_lo, sw_hi = at(aligned[i_lo]), at(aligned[i_hi])
-            add(_check(j, "embed-sandwich-lower", gap[i_lo], ">=", -LOG_SLACK, sw_lo))
-            add(_check(j, "embed-sandwich-upper", gap[i_hi], "<=", log_pq + LOG_SLACK, sw_hi))
+            add(_scan(j, "embed-sandwich-lower", gap, ">=", -LOG_SLACK, members, aligned))
+            add(_scan(j, "embed-sandwich-upper", gap, "<=", log_pq + LOG_SLACK, members, aligned))
 
         # comparable-descendant family at every member, walked once per
         # (order, row code) class as the Gamma walk is once per quota; the
-        # witness is the first member, in word order, of a class at the maximum
+        # classes' first members run in word order, so the witness is the
+        # first member, in word order, of a class at the maximum
         anchors, first = _row_code_classes(members)
         fam, owner = s2_family(spec, consts, anchors)
         e_fam = _exp(_log_energy(spec, consts, fam))[np.argsort(owner, kind="stable")]
         ends = np.cumsum(np.bincount(owner, minlength=len(anchors)))[:-1]
         sums = [math.fsum(e.tolist()) for e in np.split(e_fam, ends)]
         s2_ratios = np.array(sums) / _exp(_log_energy(spec, consts, anchors))
-        s2_max = s2_ratios.max()
         s2_gap = np.max(fam.orders() - anchors.orders()[owner], initial=0)
-        s2_wit = at(first[s2_ratios == s2_max].min())
-        add(_check(j, "s2-mass", s2_max, "<=", consts.H3 * (1.0 + LOG_SLACK), s2_wit))
+        add(_scan(j, "s2-mass", s2_ratios, "<=", consts.H3 * (1.0 + LOG_SLACK), members, first))
         add(_check(j, "s2-gap", s2_gap, "<=", float(consts.M)))
 
         # multi-level construction
@@ -628,10 +620,8 @@ def certify(
         e_lo = math.log(consts.Q) - 2.0 * math.log(consts.P) + (j + 1) * t * log_eta
         e_hi = log_pq + j * t * log_eta
         l1_energy = _log_energy(spec, consts, res.l1_codes)
-        i_lo, i_hi = int(np.argmin(l1_energy)), int(np.argmax(l1_energy))
-        l1_wit_lo, l1_wit_hi = at(i_lo, res.l1_codes), at(i_hi, res.l1_codes)
-        add(_check(j, "l1-energy-lower", l1_energy[i_lo] - e_lo, ">=", -LOG_SLACK, l1_wit_lo))
-        add(_check(j, "l1-energy-upper", l1_energy[i_hi] - e_hi, "<", LOG_SLACK, l1_wit_hi))
+        add(_scan(j, "l1-energy-lower", l1_energy - e_lo, ">=", -LOG_SLACK, res.l1_codes))
+        add(_scan(j, "l1-energy-upper", l1_energy - e_hi, "<", LOG_SLACK, res.l1_codes))
 
         # the core is an antichain: no member is an ancestor of another
         core = res.l2_codes
@@ -639,8 +629,7 @@ def certify(
         nested = np.concatenate(
             [_member_ancestors(spec, blk, core_keys, res.k1)[0] < blk.k for blk in core.blocks]
         )
-        core_wit = at(np.argmax(nested), core) if nested.any() else None
-        add(_check(j, "l2-antichain", 0.0 if core_wit is None else 1.0, "<=", 0.0, core_wit))
+        add(_scan(j, "l2-antichain", nested * 1.0, "<=", 0.0, core))
 
         # core energy bracket and count band
         l2_energy = math.fsum(_exp(_log_energy(spec, consts, core)).tolist())

@@ -177,62 +177,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
-        p.add_argument("--config", required=True, help="carpet config (JSON)")
+    def option(flag: str, **kwargs) -> argparse.ArgumentParser:
+        """One option, declared once and handed to subcommands as a parent parser."""
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(flag, **kwargs)
+        return holder
 
-    p = sub.add_parser("validate", help="check a carpet config and report its shape")
-    add_config(p)
-    p.set_defaults(fn=_cmd_validate)
+    config = option("--config", required=True, help="carpet config (JSON)")
+    r = option("--r", type=float, default=2.0)
+    levels = option("--j", type=_parse_j_list, default=(0, 1, 2, 3), help="'a,b,c' or 'lo:hi'")
+    k = option("--k", type=_parse_ints, default=RunConfig.k_grid)
+    samples = option("--samples", type=int, default=RunConfig.samples)
+    seed = option("--seed", type=int, default=RunConfig.seed)
+    cap = option("--cap", type=int, default=RunConfig.cap)
+    restarts = option("--restarts", type=int, default=RunConfig.restarts)
 
-    p = sub.add_parser("dimension", help="solve the dimension equation and print constants")
-    add_config(p)
-    p.add_argument("--r", type=_parse_floats, default=(2.0,), help="comma list of exponents")
-    p.set_defaults(fn=_cmd_dimension)
+    def command(name: str, fn, text: str, *options: argparse.ArgumentParser) -> None:
+        sub.add_parser(name, help=text, parents=[config, *options]).set_defaults(fn=fn)
 
-    p = sub.add_parser("antichain", help="build threshold antichains and print their summary")
-    add_config(p)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--j", type=_parse_j_list, default=(0, 1, 2, 3), help="'a,b,c' or 'lo:hi'")
-    p.add_argument("--cap", type=int, default=RunConfig.cap)
-    p.set_defaults(fn=_cmd_antichain)
-
-    p = sub.add_parser("certify", help="run every certified inequality and print the checks")
-    add_config(p)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--j", type=_parse_j_list, default=(0, 1, 2, 3), help="'a,b,c' or 'lo:hi'")
-    p.add_argument("--cap", type=int, default=RunConfig.cap)
-    p.set_defaults(fn=_cmd_certify)
-
-    p = sub.add_parser("quantize", help="estimate k-point quantization errors from samples")
-    add_config(p)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--k", type=_parse_ints, default=RunConfig.k_grid)
-    p.add_argument("--samples", type=int, default=RunConfig.samples)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
-    p.add_argument("--restarts", type=int, default=RunConfig.restarts)
-    p.set_defaults(fn=_cmd_quantize)
-
-    p = sub.add_parser("proxy", help="compare antichain codebooks against the weight-sum proxy")
-    add_config(p)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--j", type=_parse_j_list, default=(2, 3, 4), help="'a,b,c' or 'lo:hi'")
-    p.add_argument("--samples", type=int, default=RunConfig.samples)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
-    p.add_argument("--cap", type=int, default=RunConfig.cap)
-    p.set_defaults(fn=_cmd_proxy)
-
-    p = sub.add_parser("run", help="full pipeline; writes five CSV files")
-    add_config(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--r", type=_parse_floats, default=RunConfig.r_values)
-    p.add_argument("--j", type=_parse_j_interval, default=RunConfig.j_range, help="'lo:hi'")
-    p.add_argument("--k", type=_parse_ints, default=RunConfig.k_grid)
-    p.add_argument("--samples", type=int, default=RunConfig.samples)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
-    p.add_argument("--cap", type=int, default=RunConfig.cap)
-    p.add_argument("--restarts", type=int, default=RunConfig.restarts)
-    p.set_defaults(fn=_cmd_run)
-
+    command("validate", _cmd_validate, "check a carpet config and report its shape")
+    command("dimension", _cmd_dimension, "solve the dimension equation and print constants",
+            option("--r", type=_parse_floats, default=(2.0,), help="comma list of exponents"))
+    command("antichain", _cmd_antichain, "build threshold antichains and print their summary",
+            r, levels, cap)
+    command("certify", _cmd_certify, "run every certified inequality and print the checks",
+            r, levels, cap)
+    command("quantize", _cmd_quantize, "estimate k-point quantization errors from samples",
+            r, k, samples, seed, restarts)
+    command("proxy", _cmd_proxy, "compare antichain codebooks against the weight-sum proxy",
+            r, option("--j", type=_parse_j_list, default=(2, 3, 4), help="'a,b,c' or 'lo:hi'"),
+            samples, seed, cap)
+    command("run", _cmd_run, "full pipeline; writes five CSV files",
+            option("--out", required=True, help="output directory"),
+            option("--r", type=_parse_floats, default=RunConfig.r_values),
+            option("--j", type=_parse_j_interval, default=RunConfig.j_range, help="'lo:hi'"),
+            k, samples, seed, cap, restarts)
     return parser
 
 

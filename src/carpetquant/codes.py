@@ -43,6 +43,7 @@ __all__ = [
     "ell_steps",
     "encode_word",
     "code_dtype",
+    "join",
     "expand",
     "flatten",
     "prefix",
@@ -121,6 +122,12 @@ def code_dtype(spec: CarpetSpec, k: int):
 def _cast(spec: CarpetSpec, blk: Block, k: int) -> Block:
     dt = code_dtype(spec, k)
     return Block(blk.k, blk.a.astype(dt, copy=False), blk.b.astype(dt, copy=False))
+
+
+def join(spec: CarpetSpec, k: int, blocks: list[Block]) -> Block:
+    """The order-k blocks' words one after another, in that order's dtype."""
+    dt = code_dtype(spec, k)
+    return Block(k, *(np.concatenate([blk[i].astype(dt) for blk in blocks]) for i in (1, 2)))
 
 
 def root() -> Block:
@@ -309,16 +316,18 @@ class WordCodes:
 
     @classmethod
     def from_blocks(
-        cls, spec: CarpetSpec, blocks: list[Block]
-    ) -> tuple["WordCodes", list[np.ndarray]]:
-        """The canonical sequence of the blocks' words, and each block's sort permutation."""
+        cls, spec: CarpetSpec, blocks: list[Block], values: list[np.ndarray] | None = None
+    ) -> tuple["WordCodes", np.ndarray]:
+        """The canonical sequence of the blocks' words, and the blocks' ``values`` in its order.
+
+        ``values`` holds an array per block; without it the second item is empty int64.
+        """
         perms = [canonical(blk) for blk in blocks]
-        pos, start = [], 0
-        for blk in blocks:
-            pos.append(np.arange(start, start + len(blk.a)))
-            start += len(blk.a)
-        sorted_blocks = tuple(blk.take(p) for blk, p in zip(blocks, perms))
-        return cls(spec, sorted_blocks, tuple(pos)), perms
+        ends = np.cumsum([0] + [len(blk.a) for blk in blocks])
+        pos = tuple(np.arange(lo, hi) for lo, hi in zip(ends[:-1], ends[1:]))
+        words = cls(spec, tuple(blk.take(p) for blk, p in zip(blocks, perms)), pos)
+        ordered = [v[p] for v, p in zip(values or [], perms)]
+        return words, np.concatenate(ordered or [np.zeros(0, dtype=np.int64)])
 
     def __len__(self) -> int:
         return sum(len(p) for p in self.pos)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable, NoReturn, Sequence, TypeVar
 
 import numpy as np
@@ -51,6 +52,7 @@ _CHUNK_ENTRIES = 4_000_000
 _KEEP_MARGIN = 1e-9
 # Most steps one center update takes for r != 2.
 _CENTER_STEPS = 50
+_BURN_IN = 64  # chaos-game points dropped: the start point's offset halves at least each step
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -125,28 +127,25 @@ def _coordinate(digits: np.ndarray, base: int, start: float) -> np.ndarray:
     return path.T.ravel()[:total]
 
 
-def sample(spec: CarpetSpec, n: int, seed: int, burn_in: int = 64) -> SamplePool:
+def sample(spec: CarpetSpec, n: int, seed: int) -> SamplePool:
     """Run the chaos game: x <- f_IJ(x) with i.i.d. cell draws.
 
     The coordinate recurrences x <- (x+i)/n and y <- (y+j)/m are linear
     filters over the digit streams, each evaluated exactly by _coordinate, so
-    pools are deterministic and cheap.  The first burn_in points are
-    discarded (the start point decays geometrically).
+    pools are deterministic and cheap.  The first _BURN_IN points are dropped.
     """
     if n < 1:
         raise ValueError(f"pool size must be >= 1, got {n}")
-    if burn_in < 32:
-        raise ValueError(f"burn-in must be >= 32, got {burn_in}")
     rng = np.random.default_rng(seed)
     probs = np.array([p for _, _, p in spec.entries], dtype=np.float64)
     probs = probs / probs.sum()
-    draws = rng.choice(len(spec.entries), size=n + burn_in, p=probs)
+    draws = rng.choice(len(spec.entries), size=n + _BURN_IN, p=probs)
     cols = np.array([i for i, _, _ in spec.entries], dtype=np.float64)[draws]
     rows = np.array([j for _, j, _ in spec.entries], dtype=np.float64)[draws]
     xs = _coordinate(cols, spec.n, 0.5)
     ys = _coordinate(rows, spec.m, 0.5)
-    points = np.column_stack((xs[burn_in:], ys[burn_in:]))
-    return SamplePool(points=points, seed=seed, n=n, burn_in=burn_in)
+    points = np.column_stack((xs[_BURN_IN:], ys[_BURN_IN:]))
+    return SamplePool(points=points, seed=seed, n=n, burn_in=_BURN_IN)
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -233,6 +232,9 @@ def spread(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
     child w to the w-th allowed CPU and this process to the first, whose
     full set it gets back at the end: the kernel may leave a freshly forked
     process on its parent's CPU for longer than a short descent takes.
+    numpy's OpenBLAS, where _openblas finds it, runs one thread in every
+    process meanwhile, so BLAS threads do not outnumber the CPUs either;
+    this process gets its own thread count back at the end.
     """
     items = list(items)
     workers = min(_cpus(), len(items))
@@ -242,9 +244,13 @@ def spread(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
     import signal
 
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    blas = _openblas()
+    threads = blas[0]() if blas else 0
     pids: list[int] = []  # children not yet reaped
     reads: dict[int, int] = {}  # child pid -> read end of its pipe, while open
     try:
+        if blas:
+            blas[1](1)  # the children inherit it
         for w in range(1, workers):
             read, write = os.pipe()
             try:
@@ -277,12 +283,27 @@ def spread(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
             results[w::workers] = value
         return results
     finally:
+        if blas:
+            blas[1](threads)
         _pin(cpus)
         for read in reads.values():
             os.close(read)
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+@cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], object]] | None:
+    """The get and set calls of numpy's OpenBLAS thread count, looked up once; None without them."""
+    import ctypes
+    import glob
+
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    return None
 
 
 def _pin(cpus: list[int]) -> None:

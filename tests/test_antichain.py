@@ -9,12 +9,20 @@ import pytest
 
 import carpetquant as cq
 from carpetquant import Word, codes
-from carpetquant.antichain import _exp, _log_energy, _log_epsilon, _row_code_classes
+from carpetquant.antichain import (
+    _check,
+    _exp,
+    _log_energy,
+    _log_epsilon,
+    _row_code_classes,
+    _scan,
+)
 from reference_walks import (
     CylinderPair,
     energy,
     gamma_families,
     glue,
+    level_codes,
     order,
     pair_order,
     rect,
@@ -450,3 +458,26 @@ def test_certify_psi_growth_bound_beyond_float_range(desk1):
     report = cq.certify(desk1, consts, [0, 1])
     growth = report.cross_checks[1]
     assert (growth.name, growth.bound, growth.passed) == ("psi-growth", math.inf, True)
+
+
+# ties at both extremes: the minimum 1.0 at entries 1 and 3, the maximum 5.0 at 2 and 4
+SCAN_VALUES = np.array([3.0, 1.0, 5.0, 1.0, 5.0, 2.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "op, bound, first, value, passed",
+    [(">=", 2.0, 1, 1.0, False), ("<=", 4.0, 2, 5.0, False), ("<", 5.0, 2, 5.0, False),
+     (">=", 0.5, 1, 1.0, True), ("<=", 5.0, 2, 5.0, True)],
+)
+@pytest.mark.parametrize("at", [None, np.array([11, 9, 7, 5, 3, 1, 0])])
+def test_scan_names_the_first_word_at_the_extreme(desk1, op, bound, first, value, passed, at):
+    seq = level_codes(desk1, 3)
+    chk = _scan(4, "probe", SCAN_VALUES, op, bound, seq, at)
+    word = first if at is None else int(at[first])
+    assert (chk.j, chk.name, chk.value, chk.op, chk.bound) == (4, "probe", value, op, bound)
+    assert chk.passed is passed
+    assert chk.witness == ("" if passed else cq.encode_word(seq.word(word)))
+    # the hand-rolled scans _scan replaced: argmin for a lower bound, argmax for an upper one
+    i = int(np.argmin(SCAN_VALUES)) if op == ">=" else int(np.argmax(SCAN_VALUES))
+    hand = _check(4, "probe", SCAN_VALUES[i], op, bound, lambda: seq.word(word))
+    assert chk == hand

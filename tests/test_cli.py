@@ -118,6 +118,31 @@ def test_proxy_output(desk1_path, capsys):
     assert 0.0 < float(j0[3]) < 1.0
 
 
+def test_every_subcommand_parses_to_its_defaults():
+    run = runner.RunConfig(carpet="c.json", output_dir="out")
+    want = {
+        "validate": {},
+        "dimension": {"r": (2.0,)},
+        "antichain": {"r": 2.0, "j": (0, 1, 2, 3), "cap": 500_000},
+        "certify": {"r": 2.0, "j": (0, 1, 2, 3), "cap": 500_000},
+        "quantize": {
+            "r": 2.0, "k": (1, 2, 4, 8, 16, 32, 64), "samples": 200_000, "seed": 20240816,
+            "restarts": 5,
+        },
+        "proxy": {"r": 2.0, "j": (2, 3, 4), "samples": 200_000, "seed": 20240816, "cap": 500_000},
+        "run": {
+            "out": run.output_dir, "r": run.r_values, "j": run.j_range, "k": run.k_grid,
+            "samples": run.samples, "seed": run.seed, "cap": run.cap, "restarts": run.restarts,
+        },
+    }
+    parser = cli.build_parser()
+    for command, options in want.items():
+        extra = ["--out", "out"] if command == "run" else []
+        got = vars(parser.parse_args([command, "--config", "c.json", *extra]))
+        assert got.pop("fn") is getattr(cli, f"_cmd_{command}")
+        assert got == {"command": command, "config": "c.json", **options}, command
+
+
 def test_bad_j_argument_exits_with_usage(desk1_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["antichain", "--config", desk1_path, "--j", "5:2"])

@@ -249,3 +249,24 @@ def test_codebook_centers_match_rect(desk1, upsilon):
     ups = upsilon(4)
     points = cq.antichain_codebook(desk1, ups).points
     assert points.tolist() == [list(rect(desk1, w).center()) for w in ups.words]
+
+
+def test_from_blocks_puts_values_in_canonical_order(desk1):
+    blk = codes.all_codes(desk1, 3)
+    rev = blk.take(np.arange(len(blk.a))[::-1])
+    keys = codes.keys(desk1, rev)
+    words, values = codes.WordCodes.from_blocks(desk1, [rev], [keys])
+    assert values.tolist() == sorted(keys.tolist())
+    assert values.tolist() == codes.keys(desk1, words.blocks[0]).tolist()
+    empty, none = codes.WordCodes.from_blocks(desk1, [])
+    assert len(empty) == 0 and none.dtype == np.int64 and none.size == 0
+
+
+def test_join_concatenates_blocks_in_their_orders_dtype(desk1):
+    blk = codes.all_codes(desk1, 3)
+    joined = codes.join(desk1, 3, [blk.take([2, 0]), blk.take([1])])
+    assert joined.k == 3
+    assert joined.a.tolist() == blk.a[[2, 0, 1]].tolist()
+    assert joined.b.tolist() == blk.b[[2, 0, 1]].tolist()
+    wide = codes.join(desk1, 60, [codes.Block(60, np.array([1]), np.array([2]))])
+    assert wide.a.dtype == object and wide.b.dtype == object

@@ -36,8 +36,6 @@ def test_sample_determinism(desk1):
 def test_sample_preconditions(desk1):
     with pytest.raises(ValueError):
         cq.sample(desk1, 0, seed=1)
-    with pytest.raises(ValueError):
-        cq.sample(desk1, 100, seed=1, burn_in=31)
 
 
 def lfilter_sample(spec, n, seed, burn_in=64):
@@ -60,11 +58,10 @@ GRIDS = [(m, n) for m in range(2, 6) for n in range(m + 1, 6)]
 
 
 def assert_sample_equals_lfilter(spec, size, seeds):
-    # size 1 with the least burn-in is the smallest pool: 33 draws
-    burn_in = 32 if size == 1 else 64
+    # size 1 is the smallest pool: 65 draws, 64 of them burn-in
     for seed in seeds:
-        got = cq.sample(spec, size, seed, burn_in=burn_in).points
-        want = lfilter_sample(spec, size, seed, burn_in=burn_in)
+        got = cq.sample(spec, size, seed).points
+        want = lfilter_sample(spec, size, seed)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -857,6 +854,22 @@ def test_spread_interrupted_in_its_own_share_leaves_no_child(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         qz.spread(work, [0, 1])
     assert time.perf_counter() - start < 30  # the sleeping child was killed, not awaited
+    assert_no_child_left()
+
+
+def test_spread_runs_one_blas_thread_and_gives_the_caller_its_own_back(monkeypatch):
+    blas = qz._openblas()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS thread-count calls are not found")
+    get, put = blas
+    monkeypatch.setattr(qz, "_cpus", lambda: 2)
+    before = get()
+    put(2)
+    try:
+        assert qz.spread(lambda _: get(), range(4)) == [1, 1, 1, 1]
+        assert get() == 2
+    finally:
+        put(before)
     assert_no_child_left()
 
 
