@@ -437,10 +437,6 @@ class JCertificate:
     phi: int
     checks: tuple[CertificateCheck, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def check(self, name: str) -> CertificateCheck:
         for c in self.checks:
             if c.name == name:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .antichain import CapExceeded, CertificateReport, build_upsilon, certify
 from .carpet import CarpetError, CarpetSpec, ConfigError, derive_indices, load_config, validate_spec
@@ -41,40 +42,36 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _split(text: str, sep: str, convert: Callable, expected: str, ok=lambda values: True) -> tuple:
+    """text split on sep, each part converted; a bad part or a false ok(values) is a usage error."""
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(convert(part) for part in text.split(sep))
+        if ok(values):
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return _split(text, ",", float, "comma-separated numbers")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return _split(text, ",", int, "comma-separated integers")
 
 
 def _parse_j_list(text: str) -> tuple[int, ...]:
     """Scale indices: either '2,3,4' or an inclusive range '2:4'."""
-    try:
-        if ":" in text:
-            lo_s, hi_s = text.split(":")
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ValueError
-            return tuple(range(lo, hi + 1))
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'a,b,c' or 'lo:hi', got {text!r}")
+    expected = "'a,b,c' or 'lo:hi'"
+    if ":" not in text:
+        return _split(text, ",", int, expected)
+    lo, hi = _split(text, ":", int, expected, ok=lambda v: len(v) == 2 and v[0] <= v[1])
+    return tuple(range(lo, hi + 1))
 
 
 def _parse_j_interval(text: str) -> tuple[int, int]:
-    try:
-        lo_s, hi_s = text.split(":")
-        return int(lo_s), int(hi_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'lo:hi', got {text!r}")
+    return _split(text, ":", int, "'lo:hi'", ok=lambda v: len(v) == 2)
 
 
 def _load_spec(path: str) -> CarpetSpec:
@@ -220,17 +217,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CarpetError, ConfigError, OSError) as exc:
+    except (CapExceeded, CarpetError, ConfigError, OSError, StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, CapExceeded):
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        if isinstance(cause, CapExceeded):
             return EXIT_CAP
-        if isinstance(exc.cause, (CarpetError, ConfigError)):
+        if isinstance(cause, (CarpetError, ConfigError)) or cause is exc:  # not a stage's OSError
             return EXIT_CONFIG
         raise
 

@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import cache
+from itertools import accumulate
 from typing import Callable, NoReturn, Sequence, TypeVar
 
 import numpy as np
@@ -95,36 +96,14 @@ def _coordinate(digits: np.ndarray, base: int, start: float) -> np.ndarray:
     """One chaos-game coordinate: y_t = z + c*d_t, then z = c*y_t, with c = 1/base.
 
     z starts at start/base.  These are the operations of
-    scipy.signal.lfilter([c], [1, -c], digits, zi=[start/base]), so the
-    values are its values bit for bit.  About sqrt(N) blocks run side by
-    side, block 0 from the true state and each other one from 0.  A block
-    whose true start (c times its predecessor's last value) differs from the
-    state it ran from runs again, until none differ; by induction every value
-    is then the sequential one.  Runs of 0 digits only rescale a wrong state,
-    so they can take several rounds.
+    scipy.signal.lfilter([c], [1, -c], digits, zi=[start/base]), and Python
+    floats round each product and sum as it does, so the values are its
+    values bit for bit.
     """
     c = 1.0 / base
-    total = len(digits)
-    width = math.isqrt(total)
-    blocks = -(-total // width)
-    steps = np.zeros(blocks * width)
-    steps[:total] = digits
-    steps = (steps * c).reshape(blocks, width).T.copy()  # row t: c*d_t of every block
-    starts = np.zeros(blocks)
-    starts[0] = start / base
-    path = np.empty_like(steps)
-    redo = np.arange(blocks)
-    while len(redo):
-        z = starts[redo]
-        ran = np.empty((width, len(redo)))
-        for row, out in zip(steps[:, redo], ran):
-            np.add(z, row, out=out)
-            np.multiply(out, c, out=z)
-        path[:, redo] = ran
-        true = c * path[-1, :-1]
-        redo = np.flatnonzero(true != starts[1:]) + 1
-        starts[redo] = true[redo - 1]
-    return path.T.ravel()[:total]
+    steps = (digits * c).tolist()
+    path = accumulate(steps[1:], lambda y, s: c * y + s, initial=start / base + steps[0])
+    return np.fromiter(path, float, len(steps))
 
 
 def sample(spec: CarpetSpec, n: int, seed: int) -> SamplePool:

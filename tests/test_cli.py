@@ -149,6 +149,34 @@ def test_bad_j_argument_exits_with_usage(desk1_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param(argv, expected, id=" ".join(argv))
+        for argv, expected in [
+            (["quantize", "--k", "1,x"], "comma-separated integers"),
+            (["dimension", "--r", "1,,2"], "comma-separated numbers"),
+            (["run", "--r", "1,,2"], "comma-separated numbers"),
+            (["antichain", "--j", "3:1"], "'a,b,c' or 'lo:hi'"),
+            (["certify", "--j", "a:2"], "'a,b,c' or 'lo:hi'"),
+            (["proxy", "--j", "2:4,5:6"], "'a,b,c' or 'lo:hi'"),
+            (["antichain", "--j", "1:2:3"], "'a,b,c' or 'lo:hi'"),
+            (["run", "--j", "2"], "'lo:hi'"),
+            (["run", "--j", "1:2:3"], "'lo:hi'"),
+        ]
+    ],
+)
+def test_malformed_list_argument_prints_its_rule(desk1_path, capsys, argv, expected):
+    command, flag, value = argv
+    extra = ["--out", "out"] if command == "run" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", desk1_path, *extra, flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"carpetquant {command}: error: argument {flag}: expected {expected}, got {value!r}"
+    )
+
+
 SMALL_RUN = ["--j", "0:2", "--k", "1,2,4", "--samples", "4000", "--restarts", "2"]
 
 
@@ -349,6 +377,24 @@ def test_run_tiny_cap_exits_3_with_partial_output(desk1_path, tmp_path, capsys):
         assert (out / name).is_file(), name
     dim = (out / "dimension.csv").read_text().strip().splitlines()
     assert len(dim) == 2  # header plus the completed dimension stage row
+
+
+@pytest.mark.parametrize(
+    "stage, target, error",
+    [("dimension", "constants", RuntimeError("boom")), ("sample", "sample", OSError("disk"))],
+)
+def test_unexpected_stage_failure_prints_one_error_line_and_reraises(
+    desk1_path, tmp_path, capsys, monkeypatch, stage, target, error
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(runner, target, fail)
+    argv = ["run", "--config", desk1_path, "--out", str(tmp_path / "out")]
+    with pytest.raises(runner.StageError) as exc:
+        cli.main(argv + SMALL_RUN)
+    assert exc.value.cause is error
+    assert capsys.readouterr().err.splitlines() == [f"error: stage '{stage}' failed: {error}"]
 
 
 def test_certify_prints_run_certificates_without_r(desk1_path, tmp_path, capsys):

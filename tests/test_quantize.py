@@ -78,8 +78,8 @@ def test_sample_equals_lfilter_bitwise(m, n, size):
 
 @pytest.mark.parametrize("size", [1, 5000, 200_000])
 def test_sample_equals_lfilter_bitwise_on_a_skewed_carpet(size):
-    # Long runs of 0 digits only rescale a wrongly guessed block start, so
-    # they force many rerun rounds.
+    # Digits are 0 with probability 0.999, so the state mostly only shrinks:
+    # long runs of 0 take it through the subnormal range down to 0.
     spec = cq.load_config({"m": 2, "n": 5, "entries": [[0, 0, 0.999], [4, 1, 0.001]]})
     assert_sample_equals_lfilter(spec, size, (0, 3, 11))
 
