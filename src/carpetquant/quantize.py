@@ -385,11 +385,11 @@ def _cell_centers(
 
     - r >= 1: the cost is convex, and _newton_centers runs a safeguarded
       Newton iteration from the better of the old center and the mean.
-      Each step a cell tries the Newton step, then its nearest pool point
-      (ties to the lowest pool index), then the damped step below, and
-      keeps a try only when it lowers the cost.  A cell is done after three
-      failed tries in a row; the loop stops when every cell is done, or
-      after _CENTER_STEPS steps.
+      Each step a cell tries the Newton step, then at r = 1 its nearest
+      pool point (ties to the lowest pool index), then the damped step
+      below, and keeps a try only when it lowers the cost.  A cell is done
+      once all its tries fail in a row; the loop stops when every cell is
+      done, or after _CENTER_STEPS steps.
     - r < 1: the cost is not convex, and a Newton step can leave the basin
       the damped descent stays in, for a worse local minimum.  So the
       descent starts from the mean and takes _CENTER_STEPS damped gradient
@@ -450,13 +450,16 @@ def _newton_centers(
     quadratic model predicts: near a point of weight, |t|^r with r < 2 sends
     a Newton step from t to about -t, a tiny gain each time.  A failure
     halves the share of the step the cell tries next, a success doubles it,
-    up to 1.  The nearest pool point is found with ufunc.at minima, the
-    lowest pool index among exact ties.  The damped step is the one of the
-    r < 1 loop.  At r = 1 a point at the center is a kink, not a smooth
-    term: it adds nothing to g or H, and the damped step is scaled by
-    max(0, 1 - count / |g|), so it leaves the points there only when the
-    pull |g| of the others exceeds their count, as in the modified Weiszfeld
-    step of Vardi and Zhang (PNAS 97, 2000).  A cell of cost 0 is done at once.
+    up to 1.  The nearest pool point is tried at r = 1 only, where each
+    point is a kink of the cost; for r > 1 the cost is smooth there, and in
+    about 62k tries on desk-1 pools that try was never kept.  It is found
+    with ufunc.at minima, the lowest pool index among exact ties.  The
+    damped step is the one of the r < 1 loop.  At r = 1 a point at the
+    center is a kink, not a smooth term: it adds nothing to g or H, and the
+    damped step is scaled by max(0, 1 - count / |g|), so it leaves the
+    points there only when the pull |g| of the others exceeds their count,
+    as in the modified Weiszfeld step of Vardi and Zhang (PNAS 97, 2000).
+    A cell of cost 0 is done at once.
 
     Point costs are w |a - p|^2, which is |a - p|^r beyond 1e-12, so the
     old center, the mean and the end are compared on one formula.  Each
@@ -494,7 +497,7 @@ def _newton_centers(
     ax, ay = np.where(warm, old.T, mean.T)
     np.copyto(sums, old_sums, where=warm)
     np.copyto(d2, old_d2, where=warm[lab])
-    # next try of each cell: 0 Newton, 1 nearest point, 2 damped step, 3 done
+    # next try of each cell: 0 Newton, 1 nearest point (r = 1), 2 damped step, 3 done
     tries = np.where(sums[0] > 0.0, 0, 3)
     reach = np.ones(k)  # share of its Newton step a cell tries next
     live = k
@@ -517,6 +520,8 @@ def _newton_centers(
             sy = (hxx * gy - hxy * gx) / det
             newton = (tries == 0) & (hxx > 0.0) & (det > 0.0) & np.isfinite(sx) & np.isfinite(sy)
             tries[(tries == 0) & ~newton] = 1
+            if r > 1.0:
+                tries[tries == 1] = 2
             cx, cy = ax - reach * sx, ay - reach * sy
 
             near = tries == 1
@@ -594,6 +599,42 @@ def _reassign(
     return dmin2
 
 
+def _seeds(points: np.ndarray, k: int, r: float, init: int) -> np.ndarray:
+    """k distinct pool indices by D^r sampling (k-means++, Arthur and Vassilvitskii, SODA 2007).
+
+    The generator is default_rng(init).  The first index is uniform; each
+    next one is drawn with probability proportional to (d / d_max)^r, d a
+    point's distance to its nearest chosen point; d_max keeps the largest
+    weight at 1, so large r cannot underflow them all.  Chosen points and
+    their duplicates weigh 0; when all do, the draw is uniform over the
+    indices not yet chosen.  Each draw is one in-place pass over contiguous
+    coordinates: a (n, 2) - (2,) broadcast made it 3-4 times slower.
+    """
+    rng = np.random.default_rng(init)
+    n = len(points)
+    px, py = points.T.copy()
+    chosen = [int(rng.integers(n))]
+    d2 = np.full(n, np.inf)
+    for _ in range(1, k):
+        last = chosen[-1]
+        dx = px - px[last]
+        dx *= dx
+        dy = py - py[last]
+        dy *= dy
+        dx += dy
+        np.minimum(d2, dx, out=d2)
+        top = float(d2.max())
+        if top > 0.0:
+            cum = np.divide(d2, top, out=dx)
+            cum **= 0.5 * r
+            np.cumsum(cum, out=cum)
+            chosen.append(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")))
+        else:
+            rest = np.delete(np.arange(n), chosen)
+            chosen.append(int(rest[rng.integers(len(rest))]))
+    return np.array(chosen)
+
+
 def lloyd(
     pool: SamplePool,
     k: int,
@@ -603,13 +644,15 @@ def lloyd(
     tol: float = 1e-9,
     trace: list[float] | None = None,
 ) -> LloydResult:
-    """One Lloyd descent from a codebook or a seeded random init.
+    """One Lloyd descent from a codebook or from the pool points _seeds(init) draws.
 
     Alternates nearest-point partition (ties to the lowest index) with
     per-cell center updates (_cell_centers).  Empty cells are reseeded on
     the farthest pool points and counted as repairs.
     Stops when the relative distortion improvement drops below tol; a descent
-    that reaches max_iters first is reported as capped.
+    that reaches max_iters first is reported as capped, and returns the
+    codebook its last distortion was measured on, with neither a center
+    update nor a repair after it.
 
     The partition is Hamerly's (SDM 2010, see _reassign) and equals that of
     rescoring every point on every iteration.  Each point's lower bound on
@@ -630,8 +673,7 @@ def lloyd(
         if centers.shape != (k, 2):
             raise BadK(f"init codebook points have shape {centers.shape}, expected ({k}, 2)")
     else:
-        rng = np.random.default_rng(init)
-        centers = points[rng.choice(pool.n, size=k, replace=False)].copy()
+        centers = points[_seeds(points, k, r, init)]
 
     # Largest |p| + |c| seen in this descent: the scale of the score's rounding.
     point_norm = math.sqrt(float(_sq_norms(points).max()))
@@ -643,7 +685,7 @@ def lloyd(
     iters = 0
     converged = False
     repair_budget = 3 * k + 10
-    while iters < max_iters:
+    while True:
         iters += 1
         center_norm = math.sqrt(float(_sq_norms(centers).max()))
         scale = max(scale, point_norm + center_norm)
@@ -657,7 +699,13 @@ def lloyd(
             trace.append(dist)
         counts = np.bincount(labels, minlength=k)
         empties = np.flatnonzero(counts == 0)
-        if len(empties) and repair_budget > 0:
+        repair = len(empties) > 0 and repair_budget > 0
+        if not repair and math.isfinite(prev) and prev - dist <= tol * abs(prev):
+            converged = True
+            break
+        if iters == max_iters:
+            break
+        if repair:
             far = np.argsort(-dmin2, kind="stable")[: len(empties)]
             centers[empties] = points[far]
             repairs += len(empties)
@@ -665,9 +713,6 @@ def lloyd(
             prev = math.inf  # repaired codebook is a fresh descent
             lower = None
             continue
-        if math.isfinite(prev) and prev - dist <= tol * abs(prev):
-            converged = True
-            break
         prev = dist
         old = centers
         centers = _cell_centers(px, py, labels, counts, old, r)
@@ -684,7 +729,7 @@ def lloyd_best(
     k: int,
     r: float,
     seed: int,
-    restarts: int = 5,
+    restarts: int = 2,
     max_iters: int = 100,
 ) -> LloydResult:
     """Best of several seeded Lloyd descents (ties keep the earliest).

@@ -70,7 +70,7 @@ class RunConfig:
     samples: int = 200_000
     seed: int = 20240816
     cap: int = DEFAULT_CAP
-    restarts: int = 5
+    restarts: int = 2
 
 
 def format_value(value: object) -> str:

@@ -127,7 +127,7 @@ def test_every_subcommand_parses_to_its_defaults():
         "certify": {"r": 2.0, "j": (0, 1, 2, 3), "cap": 500_000},
         "quantize": {
             "r": 2.0, "k": (1, 2, 4, 8, 16, 32, 64), "samples": 200_000, "seed": 20240816,
-            "restarts": 5,
+            "restarts": 2,
         },
         "proxy": {"r": 2.0, "j": (2, 3, 4), "samples": 200_000, "seed": 20240816, "cap": 500_000},
         "run": {
@@ -218,7 +218,7 @@ def test_capped_lloyd_warns_once_per_r_and_k(desk1_path, tmp_path, capsys, monke
     monkeypatch.setattr(cli, "lloyd_best", functools.partial(quantize.lloyd_best, max_iters=2))
     assert cli.main(["quantize", "--config", desk1_path, "--k", "3", "--samples", "500"]) == 0
     assert capsys.readouterr().err == (
-        "warning: r=2 k=3: 5 of 5 Lloyd descents stopped at the iteration cap without converging\n"
+        "warning: r=2 k=3: 2 of 2 Lloyd descents stopped at the iteration cap without converging\n"
     )
 
 

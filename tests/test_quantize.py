@@ -369,19 +369,22 @@ def test_dense_holds_one_score_block_at_a_time(monkeypatch):
 
 
 def reference_lloyd(pool, k, r, init, max_iters=100, tol=1e-9, trace=None):
-    """The full-rescore Lloyd loop: every point scored on every iteration."""
+    """The full-rescore Lloyd loop: every point scored on every iteration.
+
+    An integer init's first codebook comes from the package's seeding; this
+    reference checks the assignment loop, not the init.
+    """
     points = pool.points
     if isinstance(init, cq.Codebook):
         centers = np.array(init.points, dtype=np.float64, copy=True)
     else:
-        rng = np.random.default_rng(init)
-        centers = points[rng.choice(pool.n, size=k, replace=False)].copy()
+        centers = points[qz._seeds(points, k, r, init)]
     repairs = 0
     prev = math.inf
     dist = math.inf
     iters = 0
     repair_budget = 3 * k + 10
-    while iters < max_iters:
+    while True:
         iters += 1
         labels, dmin2, _ = reference_dense(points, centers)
         dist = float(np.mean(dmin2 ** (r / 2.0)))
@@ -389,15 +392,18 @@ def reference_lloyd(pool, k, r, init, max_iters=100, tol=1e-9, trace=None):
             trace.append(dist)
         counts = np.bincount(labels, minlength=k)
         empties = np.flatnonzero(counts == 0)
-        if len(empties) and repair_budget > 0:
+        repair = len(empties) > 0 and repair_budget > 0
+        if not repair and math.isfinite(prev) and prev - dist <= tol * abs(prev):
+            break
+        if iters == max_iters:  # capped: keep the codebook dist was measured on
+            break
+        if repair:
             far = np.argsort(-dmin2, kind="stable")[: len(empties)]
             centers[empties] = points[far]
             repairs += len(empties)
             repair_budget -= len(empties)
             prev = math.inf
             continue
-        if math.isfinite(prev) and prev - dist <= tol * abs(prev):
-            break
         prev = dist
         centers = cell_centers(points, labels, centers, r)
     return centers, dist, iters, repairs
@@ -740,6 +746,74 @@ def test_lloyd_best_rejects_zero_restarts(desk1):
     small = cq.sample(desk1, 100, seed=4)
     with pytest.raises(ValueError):
         cq.lloyd_best(small, 2, 2.0, seed=3, restarts=0)
+
+
+def test_descent_returns_the_codebook_its_distortion_was_measured_on(desk1):
+    # A capped descent stops before the center update and before a repair,
+    # so its codebook scores exactly its reported distortion, as a
+    # converged one does.
+    small = cq.sample(desk1, 5000, seed=26)
+    capped = 0
+    for r in (0.5, 1.0, 2.0, 3.0):
+        for k in (1, 2, 4, 8, 16, 32):
+            res = cq.lloyd(small, k, r, init=k, max_iters=3)
+            capped += res.capped
+            assert cq.distortion(small, res.codebook, r) == res.distortion, (r, k)
+    assert 0 < capped < 24
+    coincident = cq.Codebook(points=np.array([[40.0, 40.0], [40.0, 40.0]]), k=2, origin="random")
+    res = cq.lloyd(small, 2, 2.0, init=coincident, max_iters=1)
+    assert (res.capped, res.repairs) == (1, 0)
+    assert np.array_equal(res.codebook.points, coincident.points)
+    assert cq.distortion(small, res.codebook, 2.0) == res.distortion
+
+
+def test_lloyd_best_is_deterministic_per_seed_k_and_attempt(desk1):
+    small = cq.sample(desk1, 2000, seed=6)
+    for k in (1, 8, 64):
+        descents = [
+            cq.lloyd(small, k, 1.5, init=int(np.random.default_rng((11, k, a)).integers(2**31)))
+            for a in range(2)
+        ]
+        want = min(descents, key=lambda res: res.distortion)
+        for _ in range(2):
+            best = cq.lloyd_best(small, k, 1.5, seed=11)
+            assert best.restarts_used == 2
+            assert best.distortion == want.distortion
+            assert np.array_equal(best.codebook.points, want.codebook.points)
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_seeding_picks_distinct_pool_indices(desk1, r):
+    small = cq.sample(desk1, 300, seed=13)
+    for k in (1, 2, 64, small.n):
+        picks = qz._seeds(small.points, k, r, init=k)
+        assert picks.shape == (k,)
+        assert len(set(picks.tolist())) == k
+        assert 0 <= picks.min() and picks.max() < small.n
+        assert np.array_equal(picks, qz._seeds(small.points, k, r, init=k))
+    start = cq.lloyd(small, 64, r, init=5, max_iters=1).codebook.points
+    assert np.array_equal(start, small.points[qz._seeds(small.points, 64, r, init=5)])
+
+
+def test_seeding_a_pool_of_one_repeated_point_draws_distinct_indices():
+    same = cq.SamplePool(points=np.tile([[0.3, 0.7]], (10, 1)), seed=0, n=10, burn_in=64)
+    picks = qz._seeds(same.points, 5, 2.0, init=3)
+    assert len(set(picks.tolist())) == 5
+    assert cq.lloyd(same, 5, 2.0, init=3).distortion == 0.0
+
+
+@pytest.mark.parametrize("r", [800.0, 1e-6])
+def test_seeding_at_extreme_r_raises_no_warning(desk1, r):
+    # A RuntimeWarning here is an error.  Scaled by the largest distance, the
+    # weights do not all underflow at r = 800, so each draw there lands next
+    # to the farthest point rather than on a uniform fallback.
+    small = cq.sample(desk1, 2000, seed=17)
+    picks = qz._seeds(small.points, 64, r, init=2)
+    assert len(set(picks.tolist())) == 64
+    if r > 1.0:
+        for i in range(1, 64):
+            d = np.min(np.hypot(*(small.points[:, None, :] - small.points[picks[:i]]).T), axis=0)
+            assert d[picks[i]] >= 0.95 * d.max()
 
 
 needs_affinity = pytest.mark.skipif(
